@@ -236,19 +236,15 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
         });
     }
 
-    // Storage-layout microbench: the same random membership probes against
-    // the engine's flat slack-CSR arena and against the old nested
-    // `Vec<Vec<u32>>` layout. Sequential by design (a probe is one lookup),
-    // so one entry each. Note the nested baseline is measured at its best —
-    // freshly cloned, so its per-vertex buffers come out of the allocator
-    // nearly contiguous; the flat arena's advantage is that its layout
-    // cannot fragment as the graph churns, so the flat entry's trajectory
-    // is the one that must stay flat over time.
+    // Storage-layout microbench: random membership probes against the
+    // engine's flat slack-CSR arena. Sequential by design (a probe is one
+    // lookup), so one entry. The arena's layout cannot fragment as the graph
+    // churns, so this entry's trajectory is the one that must stay flat over
+    // time.
     {
         const PROBES: u64 = 1_000_000;
         let graph = random_graph(CSR_N, CSR_M, cfg.seed);
         let flat = DynGraph::from_graph(&graph);
-        let nested: Vec<Vec<u32>> = graph.to_adjacency_lists();
         let probe_pair = |i: u64| {
             (
                 (hash64(cfg.seed ^ 0x9E0B, 2 * i) % CSR_N as u64) as u32,
@@ -263,35 +259,19 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
                 })
                 .count()
         });
-        let (nested_time, nested_hits) = time_best_of(reps, || {
-            (0..PROBES)
-                .filter(|&i| {
-                    let (u, v) = probe_pair(i);
-                    u != v && {
-                        let (a, b) = if nested[u as usize].len() <= nested[v as usize].len() {
-                            (u, v)
-                        } else {
-                            (v, u)
-                        };
-                        nested[a as usize].binary_search(&b).is_ok()
-                    }
-                })
-                .count()
-        });
-        assert_eq!(flat_hits, nested_hits, "probe layouts disagree");
+        let csr_hits = (0..PROBES)
+            .filter(|&i| {
+                let (u, v) = probe_pair(i);
+                graph.has_edge(u, v)
+            })
+            .count();
+        assert_eq!(flat_hits, csr_hits, "arena and CSR probes disagree");
         entries.push(QuickEntry {
             name: "membership_probe_flat",
             threads: 1,
             n: CSR_N,
             m: graph.num_edges(),
             seconds: secs(flat_time),
-        });
-        entries.push(QuickEntry {
-            name: "membership_probe_nested",
-            threads: 1,
-            n: CSR_N,
-            m: graph.num_edges(),
-            seconds: secs(nested_time),
         });
     }
 

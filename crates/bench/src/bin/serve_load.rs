@@ -30,10 +30,7 @@
 //! `server_subscribe_resyncs`, `server_publish_cow_us`,
 //! `server_publish_full_us`, and — with `--wal-bench` or `--quick` — the
 //! WAL commit-cost entries `server_wal_{sync,off}_rounds_per_s` and
-//! `server_wal_{sync,off}_commit_p99_us`, and — with `--shard-bench` or
-//! `--quick` — the shard-scaling entries `server_shard{1,2,4}_updates_per_s`,
-//! warn-only gated at 1.5× for 4 shards on a ≥4-core box), next to the
-//! sort/engine
+//! `server_wal_{sync,off}_commit_p99_us`), next to the sort/engine
 //! trajectory entries `run_all --quick` writes; re-runs replace the
 //! previous entries instead of accumulating.
 //!
@@ -64,14 +61,8 @@
 //! history (both reconstruction paths), and restarts a server from it —
 //! exiting nonzero on any divergence.
 //!
-//! `--shards S` serves the vertex-partitioned `ShardedEngine` instead of the
-//! single-arena engine; every audit (from-scratch recompute, per-round
-//! replay under `--verify`, subscriber reconstruction) runs unchanged — the
-//! sharded server must serve byte-identical state.
-//!
 //! ```text
 //! cargo run --release -p greedy_bench --bin serve_load -- --quick
-//! cargo run --release -p greedy_bench --bin serve_load -- --shards 2 --verify
 //! cargo run --release -p greedy_bench --bin serve_load -- --quick --crash-recover
 //! cargo run --release -p greedy_bench --bin serve_load -- --scale small \
 //!     --writers 4 --readers 4 --duration-secs 3
@@ -86,7 +77,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use greedy_bench::{merge_quick_entries, Scale};
-use greedy_engine::prelude::{CommitEngine, EdgeBatch, Engine, ServerSnapshot, ShardedEngine};
+use greedy_engine::prelude::{EdgeBatch, Engine, ServerSnapshot};
 use greedy_graph::csr::Graph;
 use greedy_graph::edge_list::Edge;
 use greedy_graph::gen::random::random_graph;
@@ -136,12 +127,6 @@ struct LoadConfig {
     /// the exposition to `results/metrics_quick.txt`, and measure the
     /// registry's overhead (`server_obs_*` rows).
     metrics_report: bool,
-    /// Vertex-partition shards the served engine runs (1 = the single-arena
-    /// engine; >1 = `ShardedEngine` — same served bytes, parallel shards).
-    shards: usize,
-    /// Shard-scaling microbenchmark: the same write load against S ∈
-    /// {1, 2, 4} servers, merging `server_shard{S}_updates_per_s` rows.
-    shard_bench: bool,
 }
 
 impl Default for LoadConfig {
@@ -165,8 +150,6 @@ impl Default for LoadConfig {
             crash_child: false,
             wal_bench: false,
             metrics_report: false,
-            shards: 1,
-            shard_bench: false,
         }
     }
 }
@@ -225,8 +208,6 @@ fn parse_args() -> LoadConfig {
             "--crash-child" => cfg.crash_child = true,
             "--wal-bench" => cfg.wal_bench = true,
             "--metrics" => cfg.metrics_report = true,
-            "--shards" => cfg.shards = take("--shards").parse().expect("bad --shards"),
-            "--shard-bench" => cfg.shard_bench = true,
             // CI smoke mode: tiny graph, short run, full per-round audit —
             // finishes in a couple of seconds.
             "--quick" => {
@@ -239,7 +220,6 @@ fn parse_args() -> LoadConfig {
                 cfg.verify_rounds = true;
                 cfg.publish_bench = true;
                 cfg.wal_bench = true;
-                cfg.shard_bench = true;
                 cfg.reader_pace = Duration::from_micros(300);
             }
             "--help" | "-h" => {
@@ -247,7 +227,7 @@ fn parse_args() -> LoadConfig {
                     "flags: --scale tiny|small|medium --writers N --readers M --subscribers K \
                      --batch B --duration-secs S --seed X --reader-pace-us U --verify \
                      --publish-bench --data-dir DIR --crash-recover --wal-bench --metrics \
-                     --shards S --shard-bench --quick"
+                     --quick"
                 );
                 std::process::exit(0);
             }
@@ -255,7 +235,6 @@ fn parse_args() -> LoadConfig {
         }
     }
     assert!(cfg.writers >= 1, "need at least one writer");
-    assert!(cfg.shards >= 1, "need at least one shard");
     cfg
 }
 
@@ -270,7 +249,7 @@ fn main() {
     }
     eprintln!(
         "== serve_load: n={} m={} writers={} readers={} subscribers={} batch={} duration={:?} \
-         verify={} shards={}",
+         verify={}",
         cfg.n,
         cfg.m,
         cfg.writers,
@@ -278,27 +257,14 @@ fn main() {
         cfg.subscribers,
         cfg.batch,
         cfg.duration,
-        cfg.verify_rounds,
-        cfg.shards
+        cfg.verify_rounds
     );
 
     let base = random_graph(cfg.n, cfg.m, cfg.seed);
-    // The load-and-audit phase is generic over the engine: the sharded and
-    // single-arena servers serve the same bytes, so every audit below —
-    // including the replay through a fresh *single-arena* engine under
-    // `--verify` — applies unchanged to both.
-    if cfg.shards > 1 {
-        run_load(
-            ShardedEngine::from_graph(&base, cfg.seed, cfg.shards),
-            &base,
-            &cfg,
-        );
-    } else {
-        run_load(Engine::from_graph(&base, cfg.seed), &base, &cfg);
-    }
+    run_load(Engine::from_graph(&base, cfg.seed), &base, &cfg);
 }
 
-fn run_load<E: CommitEngine>(engine: E, base: &Graph, cfg: &LoadConfig) {
+fn run_load(engine: Engine, base: &Graph, cfg: &LoadConfig) {
     let handle = serve(
         engine,
         ServerConfig {
@@ -459,9 +425,8 @@ fn run_load<E: CommitEngine>(engine: E, base: &Graph, cfg: &LoadConfig) {
     let rounds = stats.batches;
     let secs = elapsed.as_secs_f64();
 
-    // Coherence audit: final served state == from-scratch greedy recompute
-    // (through the single-arena engine, whatever engine served).
-    let final_edges = report.engine.edge_list();
+    // Coherence audit: final served state == from-scratch greedy recompute.
+    let final_edges = report.engine.graph().to_edge_list();
     let final_graph = Graph::from_edges(report.engine.num_vertices(), final_edges.edges());
     let scratch = Engine::from_graph(&final_graph, cfg.seed);
     assert_eq!(
@@ -667,30 +632,24 @@ fn run_load<E: CommitEngine>(engine: E, base: &Graph, cfg: &LoadConfig) {
     // Exact name prefixes, not the bare "server_" family prefix: the
     // `server_wal_*` rows are produced (and merged) separately below, and a
     // blanket "server_" claim here would silently delete them on every run
-    // that skips the WAL bench. Sharded runs keep these rows to themselves:
-    // the generic `server_*` family tracks the single-arena engine run-over-
-    // run, and a 2-shard verification smoke overwriting it would mix engine
-    // types in one trajectory (shard throughput has its own `server_shard*`
-    // family below).
-    if cfg.shards <= 1 {
-        merge_quick_entries(
-            Path::new("results/BENCH_quick.json"),
-            cfg.seed,
-            &[
-                "server_rounds",
-                "server_updates",
-                "server_query",
-                "server_subscribe",
-                "server_publish",
-            ],
-            "server",
-            &rows,
-        );
-        eprintln!(
-            "   merged {} server_* entries into results/BENCH_quick.json",
-            rows.len()
-        );
-    }
+    // that skips the WAL bench.
+    merge_quick_entries(
+        Path::new("results/BENCH_quick.json"),
+        cfg.seed,
+        &[
+            "server_rounds",
+            "server_updates",
+            "server_query",
+            "server_subscribe",
+            "server_publish",
+        ],
+        "server",
+        &rows,
+    );
+    eprintln!(
+        "   merged {} server_* entries into results/BENCH_quick.json",
+        rows.len()
+    );
 
     if cfg.wal_bench {
         let wal_rows = wal_bench(cfg.seed);
@@ -721,119 +680,6 @@ fn run_load<E: CommitEngine>(engine: E, base: &Graph, cfg: &LoadConfig) {
             obs_rows.len()
         );
     }
-
-    if cfg.shard_bench {
-        let shard_rows = shard_bench(cfg.seed);
-        merge_quick_entries(
-            Path::new("results/BENCH_quick.json"),
-            cfg.seed,
-            &["server_shard"],
-            "server_shard",
-            &shard_rows,
-        );
-        eprintln!(
-            "   merged {} server_shard* entries into results/BENCH_quick.json",
-            shard_rows.len()
-        );
-    }
-}
-
-/// Shard-scaling microbenchmark: the same multi-writer update load against a
-/// server running S ∈ {1, 2, 4} vertex-partition shards, reporting submitted
-/// updates/s per shard count. On a ≥4-core box the 4-shard run should clear
-/// 1.5× the 1-shard run; below that core count (or on a noisy box) the gap
-/// is reported but only warned about — the rows land in the trajectory file
-/// where `run_all --compare` flags regressions.
-fn shard_bench(seed: u64) -> Vec<String> {
-    const N: usize = 50_000;
-    const M: usize = 200_000;
-    const WRITERS: usize = 4;
-    let run = |shards: usize| -> f64 {
-        let base = random_graph(N, M, seed ^ 0x54A2);
-        let handle = serve(
-            ShardedEngine::from_graph(&base, seed, shards),
-            ServerConfig {
-                metrics: false,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("shard bench serve");
-        let addr = handle.addr();
-        let stop = Arc::new(AtomicBool::new(false));
-        let started = Instant::now();
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let stop = stop.clone();
-                thread::spawn(move || -> u64 {
-                    let mut client = Client::connect(addr).expect("shard bench connect");
-                    let mut submitted = 0u64;
-                    let mut prev: Vec<(u32, u32)> = Vec::new();
-                    let mut k = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        if !prev.is_empty() && k % 2 == 1 {
-                            let batch = std::mem::take(&mut prev);
-                            submitted += batch.len() as u64;
-                            client.delete_edges(&batch).expect("shard bench delete");
-                        } else {
-                            let fresh: Vec<(u32, u32)> = (0..512u64)
-                                .map(|i| {
-                                    let key = k * 512 + i;
-                                    (
-                                        (hash64(seed ^ 0x54A3 ^ ((w as u64) << 48), 2 * key)
-                                            % N as u64)
-                                            as u32,
-                                        (hash64(seed ^ 0x54A3 ^ ((w as u64) << 48), 2 * key + 1)
-                                            % N as u64)
-                                            as u32,
-                                    )
-                                })
-                                .collect();
-                            submitted += fresh.len() as u64;
-                            client.insert_edges(&fresh).expect("shard bench insert");
-                            prev = fresh;
-                        }
-                        k += 1;
-                    }
-                    submitted
-                })
-            })
-            .collect();
-        thread::sleep(Duration::from_millis(700));
-        stop.store(true, Ordering::Relaxed);
-        let submitted: u64 = writers.into_iter().map(|w| w.join().expect("writer")).sum();
-        let elapsed = started.elapsed().as_secs_f64();
-        handle.shutdown();
-        submitted as f64 / elapsed
-    };
-    let mut rows = Vec::new();
-    let mut by_shards = [0.0f64; 3];
-    for (i, shards) in [1usize, 2, 4].into_iter().enumerate() {
-        let ups = run(shards);
-        eprintln!("   shards={shards}          {ups:.0} updates/s");
-        by_shards[i] = ups;
-        rows.push(quick_row(
-            &format!("server_shard{shards}_updates_per_s"),
-            WRITERS,
-            N,
-            M,
-            ups,
-            "updates/s",
-        ));
-    }
-    let cores = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let speedup = by_shards[2] / by_shards[0].max(1e-9);
-    eprintln!("   shard speedup      4-shard vs 1-shard: {speedup:.2}x on {cores} cores");
-    if cores >= 4 && speedup < 1.5 {
-        // Warning only: quick-mode numbers from a shared box are too noisy
-        // for a hard gate; the trajectory rows make a persistent regression
-        // visible to `run_all --compare`.
-        eprintln!(
-            "   WARNING: 4-shard throughput below 1.5x the 1-shard run on a {cores}-core box"
-        );
-    }
-    rows
 }
 
 /// The `--metrics` report against the still-running (but quiesced) server:
@@ -841,11 +687,7 @@ fn shard_bench(seed: u64) -> Vec<String> {
 /// and the repair-rounds-vs-`log2(n)^2` depth check, validate that metrics
 /// which cannot be zero after this load are nonzero, and dump the full
 /// exposition to `results/metrics_quick.txt`. Any failed check exits 1.
-fn metrics_report<E: CommitEngine>(
-    handle: &ServerHandle<E>,
-    addr: std::net::SocketAddr,
-    cfg: &LoadConfig,
-) {
+fn metrics_report(handle: &ServerHandle, addr: std::net::SocketAddr, cfg: &LoadConfig) {
     eprintln!("== metrics report");
 
     // Acceptance check 1: the wire frame and the in-process dump must be the
@@ -1021,18 +863,6 @@ fn metrics_report<E: CommitEngine>(
         "engine_mis_repair_work_count",
         "MIS repair ran on every round",
     );
-    // Sharded serving merges one engine registry per shard into this same
-    // exposition (counters sum across shards): every shard's arena was built
-    // at least once, so the merged rebuild counter must count every shard —
-    // a shard whose instrument set never reported would break this floor.
-    if cfg.shards > 1 && value("engine_rebuilds_total") < cfg.shards as u64 {
-        failures.push(format!(
-            "engine_rebuilds_total {} < {} shards: some shard's registry never \
-             reached the merged exposition",
-            value("engine_rebuilds_total"),
-            cfg.shards
-        ));
-    }
     if value("server_commit_total_us_count") != rounds {
         failures.push(format!(
             "server_commit_total_us_count {} != server_rounds_committed_total {rounds}",

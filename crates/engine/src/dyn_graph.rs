@@ -160,8 +160,6 @@ pub struct DynGraph {
     /// keep individually (see [`EventJournal`]). Excluded from `PartialEq`
     /// (logical equality) like the rest of the history-dependent state.
     journal: Option<Arc<EventJournal>>,
-    /// Shard id stamped onto journal events (0 for a single-engine arena).
-    shard_tag: u32,
 }
 
 /// Logical equality: same vertex count and same live adjacency. Slack layout
@@ -219,7 +217,6 @@ impl DynGraph {
             relocations: 0,
             last_rebuild_tasks: 0,
             journal: None,
-            shard_tag: 0,
         }
     }
 
@@ -384,12 +381,6 @@ impl DynGraph {
     /// Recording is a no-op in `obs-off` builds.
     pub fn attach_journal(&mut self, journal: Arc<EventJournal>) {
         self.journal = Some(journal);
-    }
-
-    /// Stamps journal events from this arena with a shard id (a sharded
-    /// engine tags each shard's arena; single-engine arenas stay at 0).
-    pub fn set_shard_tag(&mut self, shard: u32) {
-        self.shard_tag = shard;
     }
 
     /// Parallel block tasks the most recent rebuild fanned out over
@@ -812,7 +803,6 @@ impl DynGraph {
         self.rebuilds_by[trigger.index()] += 1;
         if let Some(j) = &self.journal {
             j.record(EventKind::ArenaRebuild {
-                shard: self.shard_tag as u64,
                 reason: trigger.label(),
                 capacity: self.nbr.len() as u64,
                 tasks: self.last_rebuild_tasks as u64,

@@ -15,7 +15,7 @@
 
 use greedy_core::dag::{RepairScratch, RepairStats};
 use greedy_graph::csr::Graph;
-use greedy_graph::edge_list::{Edge, EdgeList};
+use greedy_graph::edge_list::Edge;
 
 use crate::dyn_graph::DynGraph;
 use crate::matching::{matching_from_scratch, MatchDelta, MatchingState};
@@ -470,127 +470,6 @@ impl Engine {
     /// Read access to the dynamic graph.
     pub fn graph(&self) -> &DynGraph {
         &self.graph
-    }
-}
-
-/// The engine surface the serving layer drives — implemented by both
-/// execution strategies: the single-arena [`Engine`] and the
-/// vertex-partitioned [`crate::sharded::ShardedEngine`].
-///
-/// Both maintain the **same** unique greedy fixed point (the paper's
-/// lexicographically-first MIS and matching under fixed priorities), so a
-/// server generic over this trait publishes byte-identical snapshots, delta
-/// streams, and WAL records whichever implementation — and whatever shard
-/// count — is behind it. Implementation-specific observables (shard count,
-/// exchange rounds, staging skew) have defaults describing the single-arena
-/// case, so [`Engine`] implements them for free.
-pub trait CommitEngine: Send + 'static {
-    /// Applies one batch of edge updates atomically and repairs both
-    /// maintained states to the greedy fixed point on the updated graph.
-    fn apply_batch(&mut self, batch: &EdgeBatch) -> BatchReport;
-
-    /// The copy-on-write serving export after the most recent batch.
-    fn server_snapshot(&self) -> ServerSnapshot;
-
-    /// Cumulative work counters.
-    fn stats(&self) -> &EngineStats;
-
-    /// Number of vertices (fixed at construction).
-    fn num_vertices(&self) -> usize;
-
-    /// Number of edges currently present.
-    fn num_edges(&self) -> usize;
-
-    /// The priority seed the engine was built with.
-    fn seed(&self) -> u64;
-
-    /// The current edge set in canonical order — what WAL checkpoints
-    /// persist (state is a pure function of edge set + seed).
-    fn edge_list(&self) -> EdgeList;
-
-    /// Wall-clock breakdown of the most recent batch.
-    fn last_batch_timings(&self) -> BatchTimings;
-
-    /// Snapshot pages the most recent batch repacked.
-    fn last_publication_pages(&self) -> usize;
-
-    /// Shards the engine partitions its vertices across (1 = single arena).
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// Largest per-shard sub-batch the most recent batch staged (0 for a
-    /// single-arena engine, which does not split batches).
-    fn last_max_shard_staged(&self) -> u64 {
-        0
-    }
-
-    /// Cross-shard exchange rounds the most recent batch needed to reach
-    /// global quiescence (0 for a single-arena engine).
-    fn last_cross_shard_rounds(&self) -> u64 {
-        0
-    }
-
-    /// Attaches one internals instrument set per shard; callers size the
-    /// vector with [`CommitEngine::shard_count`]. A single-arena engine
-    /// takes the first set.
-    fn attach_shard_metrics(&mut self, per_shard: Vec<EngineMetrics>);
-
-    /// Rebuilds this engine from WAL-recovered state, preserving the
-    /// implementation's execution strategy: a single-arena engine adopts the
-    /// recovered engine as-is, a sharded one re-partitions the recovered
-    /// graph across its shard count (the unique fixed point guarantees the
-    /// re-partitioned state equals the recovered one byte for byte).
-    fn absorb_recovered(self, recovered: Engine) -> Self;
-}
-
-impl CommitEngine for Engine {
-    fn apply_batch(&mut self, batch: &EdgeBatch) -> BatchReport {
-        Engine::apply_batch(self, batch)
-    }
-
-    fn server_snapshot(&self) -> ServerSnapshot {
-        Engine::server_snapshot(self)
-    }
-
-    fn stats(&self) -> &EngineStats {
-        Engine::stats(self)
-    }
-
-    fn num_vertices(&self) -> usize {
-        Engine::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        Engine::num_edges(self)
-    }
-
-    fn seed(&self) -> u64 {
-        Engine::seed(self)
-    }
-
-    fn edge_list(&self) -> EdgeList {
-        self.graph.to_edge_list()
-    }
-
-    fn last_batch_timings(&self) -> BatchTimings {
-        Engine::last_batch_timings(self)
-    }
-
-    fn last_publication_pages(&self) -> usize {
-        Engine::last_publication_pages(self)
-    }
-
-    fn attach_shard_metrics(&mut self, per_shard: Vec<EngineMetrics>) {
-        let metrics = per_shard
-            .into_iter()
-            .next()
-            .expect("attach_shard_metrics needs at least one instrument set");
-        self.attach_metrics(metrics);
-    }
-
-    fn absorb_recovered(self, recovered: Engine) -> Self {
-        recovered
     }
 }
 

@@ -68,18 +68,14 @@ pub mod matching;
 pub mod metrics;
 mod mis;
 pub mod priority;
-pub mod sharded;
 pub mod snapshot;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::dyn_graph::{DynGraph, RebuildTrigger, SlotUpdate};
-    pub use crate::engine::{
-        BatchReport, BatchTimings, CommitEngine, EdgeBatch, Engine, EngineStats, Snapshot,
-    };
+    pub use crate::engine::{BatchReport, BatchTimings, EdgeBatch, Engine, EngineStats, Snapshot};
     pub use crate::matching::MatchDelta;
     pub use crate::metrics::EngineMetrics;
     pub use crate::priority::{edge_permutation, edge_priority, vertex_permutation};
-    pub use crate::sharded::{ShardMap, ShardScope, ShardedEngine};
     pub use crate::snapshot::ServerSnapshot;
 }

@@ -31,7 +31,6 @@ use greedy_graph::edge_list::Edge;
 
 use crate::dyn_graph::{DynGraph, SlotUpdate};
 use crate::priority::edge_priority;
-use crate::sharded::ShardScope;
 
 /// One net matching change of a batch: the stable slot id, its edge, and the
 /// membership *after* the batch. For an edge that was deleted while matched,
@@ -67,34 +66,6 @@ struct MatchingDag<'a> {
     /// endpoints' lists; the lists are empty between repairs (the pending
     /// set drains to nothing).
     pending_at: &'a mut [Vec<u32>],
-    /// When set, conflicts (and therefore wake-ups) are confined to slots
-    /// whose edge this shard *owns* (its min endpoint is in scope);
-    /// propagation across the boundary rides the sharded engine's exchange
-    /// rounds instead. The decision rule itself stays global — it probes
-    /// partner entries, which the exchange keeps in sync.
-    scope: Option<ShardScope>,
-    /// Partner entries written during this repair (both endpoints of every
-    /// flip), recorded so the sharded engine can broadcast them. `None`
-    /// outside a sharded run.
-    dirty: Option<&'a mut Vec<u32>>,
-}
-
-impl MatchingDag<'_> {
-    /// True when this shard owns slot `s`'s edge (always true unscoped).
-    #[inline]
-    fn owns_slot(&self, s: u32) -> bool {
-        match self.scope {
-            None => true,
-            Some(scope) => self.graph.slot_edge(s).is_some_and(|e| scope.owns(e.u)),
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, x: u32) {
-        if let Some(d) = self.dirty.as_mut() {
-            d.push(x);
-        }
-    }
 }
 
 impl ConflictDag for MatchingDag<'_> {
@@ -114,7 +85,7 @@ impl ConflictDag for MatchingDag<'_> {
         if let Some(e) = self.graph.slot_edge(item) {
             for x in [e.u, e.v] {
                 for &s in self.graph.neighbor_slots(x) {
-                    if s != item && self.owns_slot(s) {
+                    if s != item {
                         f(s);
                     }
                 }
@@ -170,32 +141,11 @@ impl ConflictDag for MatchingDag<'_> {
     fn on_flip(&mut self, item: u32, accepted_now: bool, accepted: &[bool]) {
         let e = self.graph.slot_edge(item).expect("flipped slot is live");
         if accepted_now {
-            // A flip *in* is unblocked per the local partner entries, so at
-            // every *owned* endpoint (where those entries are authoritative)
-            // it is the new minimum outright. A foreign endpoint's entry is
-            // never written here — partner entries have a single writer, the
-            // endpoint's owner, and every other shard's copy moves only via
-            // that owner's broadcasts; a locally plausible write could
-            // clobber a correct earlier-priority value the owner knows about
-            // and oscillate against it forever.
-            for (x, y) in [(e.u, e.v), (e.v, e.u)] {
-                if self.scope.is_some_and(|sc| !sc.owns(x)) {
-                    continue;
-                }
-                self.partner[x as usize] = y;
-                self.mark_dirty(x);
-            }
+            self.partner[e.u as usize] = e.v;
+            self.partner[e.v as usize] = e.u;
         } else {
             for (x, y) in [(e.u, e.v), (e.v, e.u)] {
                 if self.partner[x as usize] == y {
-                    // A flip-*out* rescan needs `x`'s full adjacency, which
-                    // only `x`'s owner holds. Scoped runs leave a foreign
-                    // endpoint's entry stale (conservatively still blocking)
-                    // — the owner sees this flip through the exchange,
-                    // recomputes, and broadcasts the true value.
-                    if self.scope.is_some_and(|sc| !sc.owns(x)) {
-                        continue;
-                    }
                     let mut best: Option<((u64, u64), u32)> = None;
                     for (&w, &s) in self
                         .graph
@@ -211,7 +161,6 @@ impl ConflictDag for MatchingDag<'_> {
                         }
                     }
                     self.partner[x as usize] = best.map_or(u32::MAX, |(_, w)| w);
-                    self.mark_dirty(x);
                 }
             }
         }
@@ -236,12 +185,6 @@ pub(crate) struct MatchingState {
     /// empty between repairs. Kept here so the allocation is reused.
     pending_at: Vec<Vec<u32>>,
     size: usize,
-    /// Shard ownership range when this state is one shard of a
-    /// [`crate::sharded::ShardedEngine`]; `None` for the single engine.
-    scope: Option<ShardScope>,
-    /// Vertices whose partner entry was written since the last
-    /// [`MatchingState::drain_dirty_partners`] (tracked only when scoped).
-    dirty_partner: Vec<u32>,
 }
 
 impl MatchingState {
@@ -253,48 +196,7 @@ impl MatchingState {
             partner: vec![u32::MAX; n],
             pending_at: vec![Vec::new(); n],
             size: 0,
-            scope: None,
-            dirty_partner: Vec::new(),
         }
-    }
-
-    /// A shard's matching state bootstrapped from a known-good global fixed
-    /// point: `graph` is the shard's arena (every edge incident to an owned
-    /// vertex) and `partner` the full global partner array. Per-slot flags
-    /// and priorities derive from them; subsequent repairs run scoped.
-    pub(crate) fn bootstrap(
-        graph: &DynGraph,
-        seed: u64,
-        partner: Vec<u32>,
-        scope: ShardScope,
-    ) -> Self {
-        let n = graph.num_vertices();
-        debug_assert_eq!(partner.len(), n);
-        let mut matched = vec![false; graph.num_slots()];
-        let mut prio = vec![(u64::MAX, u64::MAX); graph.num_slots()];
-        let mut size = 0;
-        for upd in graph.live_slot_updates() {
-            prio[upd.slot as usize] = edge_priority(seed, upd.edge);
-            if partner[upd.edge.u as usize] == upd.edge.v {
-                matched[upd.slot as usize] = true;
-                size += 1;
-            }
-        }
-        Self {
-            matched,
-            prio,
-            partner,
-            pending_at: vec![Vec::new(); n],
-            size,
-            scope: Some(scope),
-            dirty_partner: Vec::new(),
-        }
-    }
-
-    /// True when this state owns edge `e` (always true unscoped).
-    #[inline]
-    fn owns_edge(&self, e: Edge) -> bool {
-        self.scope.is_none_or(|sc| sc.owns(e.u))
     }
 
     /// Number of matched edges.
@@ -390,17 +292,12 @@ impl MatchingState {
                 self.matched[upd.slot as usize] = false;
                 self.size -= 1;
                 self.clear_partner(upd.edge);
-                if self.owns_edge(upd.edge) {
-                    touched.push((upd.edge, upd.slot, true));
-                }
+                touched.push((upd.edge, upd.slot, true));
                 let gone = edge_priority(seed, upd.edge);
                 for x in [upd.edge.u, upd.edge.v] {
                     for (&w, &s) in graph.neighbors(x).iter().zip(graph.neighbor_slots(x)) {
                         let p = self.prio[s as usize];
-                        if p > gone
-                            && self.owns_edge(Edge::new(x, w).canonical())
-                            && !blocked_at_entry(&self.partner, Edge::new(x, w), p)
-                        {
+                        if p > gone && !blocked_at_entry(&self.partner, Edge::new(x, w), p) {
                             seeds.push(s);
                         }
                     }
@@ -410,42 +307,23 @@ impl MatchingState {
         // An inserted slot is a new item whose decision starts `false`; if
         // it is not blocked at entry the driver re-decides it and
         // propagates onward when it flips in. (On slot reuse within a batch
-        // the deletion loop above already reset the recycled flag.) A scoped
-        // run seeds only owned slots: a ghost insertion is decided by its
-        // owner and arrives back as an exchange flip.
+        // the deletion loop above already reset the recycled flag.)
         for upd in inserted {
             debug_assert!(!self.matched[upd.slot as usize]);
-            if self.owns_edge(upd.edge)
-                && !blocked_at_entry(&self.partner, upd.edge, self.prio[upd.slot as usize])
-            {
+            if !blocked_at_entry(&self.partner, upd.edge, self.prio[upd.slot as usize]) {
                 seeds.push(upd.slot);
             }
         }
 
-        self.run_and_report(graph, seed, &seeds, touched, scratch)
-    }
-
-    /// Runs the round driver over `seeds` (plus the pre-recorded `touched`
-    /// first-occurrence bookkeeping) and reports the net delta versus entry.
-    fn run_and_report(
-        &mut self,
-        graph: &DynGraph,
-        seed: u64,
-        seeds: &[u32],
-        mut touched: Vec<(Edge, u32, bool)>,
-        scratch: &mut RepairScratch,
-    ) -> (Vec<MatchDelta>, RepairStats) {
         let mut dag = MatchingDag {
             graph,
             seed,
             prio: &self.prio,
             partner: &mut self.partner,
             pending_at: &mut self.pending_at,
-            scope: self.scope,
-            dirty: self.scope.is_some().then_some(&mut self.dirty_partner),
         };
         let (changed, stats) =
-            repair_fixed_point_with_scratch(&mut dag, &mut self.matched, seeds, scratch);
+            repair_fixed_point_with_scratch(&mut dag, &mut self.matched, &seeds, scratch);
 
         // The partner array was maintained in-flight by the DAG's flip hook;
         // only the size and the first-touch bookkeeping derive from the net
@@ -483,143 +361,18 @@ impl MatchingState {
         }
         // Keyed on `(slot, edge)` — a batch can free a matched edge's slot
         // and re-issue it to a different edge, putting the same slot id in
-        // the delta twice; the edge key makes the order total (and thus
-        // identical across shard counts).
+        // the delta twice; the edge key makes the order total.
         deltas.sort_unstable_by_key(|d| (d.slot, d.edge.sort_key()));
         (deltas, stats)
     }
 
-    /// An exchange-round repair: re-decides `seeds` (owned slots woken by
-    /// incoming boundary flips) and everything downstream, with no
-    /// structural changes. Returns the net delta of *this pass*.
-    pub(crate) fn repair_seeded(
-        &mut self,
-        graph: &DynGraph,
-        seed: u64,
-        seeds: &[u32],
-        scratch: &mut RepairScratch,
-    ) -> (Vec<MatchDelta>, RepairStats) {
-        self.run_and_report(graph, seed, seeds, Vec::new(), scratch)
-    }
-
     /// Clears the partner entries pointing across `e` after the matched edge
-    /// was deleted. Scoped runs clear (and dirty) only the endpoints this
-    /// shard owns — the single-writer rule; a foreign endpoint's entry stays
-    /// stale (conservatively blocking) until its owner, which sees the same
-    /// deletion, broadcasts the recomputed value.
+    /// was deleted.
     #[inline]
     fn clear_partner(&mut self, e: Edge) {
         debug_assert!(self.is_matched(e.u, e.v) && self.is_matched(e.v, e.u));
-        for x in [e.u, e.v] {
-            if self.scope.is_some_and(|sc| !sc.owns(x)) {
-                continue;
-            }
-            self.partner[x as usize] = u32::MAX;
-            if self.scope.is_some() {
-                self.dirty_partner.push(x);
-            }
-        }
-    }
-
-    // ---- sharded-engine exchange hooks (all scoped-only call sites) ----
-
-    /// Current matched flag of slot `s`.
-    #[inline]
-    pub(crate) fn matched_flag(&self, s: u32) -> bool {
-        self.matched[s as usize]
-    }
-
-    /// Current partner of vertex `x` (`u32::MAX` = unmatched).
-    #[inline]
-    pub(crate) fn partner_of(&self, x: u32) -> u32 {
-        self.partner[x as usize]
-    }
-
-    /// The greedy decision for live slot `s` on the current partner entries:
-    /// matched iff no earlier-priority edge is matched at either endpoint.
-    /// Used to gate wake-ups derived from incoming boundary flips.
-    pub(crate) fn decide_slot(&self, graph: &DynGraph, seed: u64, s: u32) -> bool {
-        let e = graph.slot_edge(s).expect("decided slot is live");
-        let p = self.prio[s as usize];
-        ![e.u, e.v].into_iter().any(|x| {
-            let m = self.partner[x as usize];
-            m != u32::MAX && edge_priority(seed, Edge::new(x, m)) < p
-        })
-    }
-
-    /// Applies a matched-flip received from the owning shard for an edge
-    /// this arena also holds. Sets the flag, adjusts the size, and
-    /// *reconciles* the partner entry of every endpoint this shard owns
-    /// against the local matched flags — the sender's flip was based on its
-    /// own (possibly stale) view, so the incoming edge is not necessarily
-    /// the endpoint's true minimum here; a blind write could clobber a
-    /// correct earlier-priority entry and oscillate against the owner's
-    /// corrections forever. Foreign endpoints are never written (the
-    /// single-writer rule — their owners broadcast the truth). Returns
-    /// `true` when the flag actually changed.
-    pub(crate) fn apply_matched_flip(
-        &mut self,
-        graph: &DynGraph,
-        s: u32,
-        e: Edge,
-        matched_now: bool,
-    ) -> bool {
-        if self.matched[s as usize] == matched_now {
-            return false;
-        }
-        let scope = self.scope.expect("exchange hooks are scoped-only");
-        self.matched[s as usize] = matched_now;
-        if matched_now {
-            self.size += 1;
-        } else {
-            self.size -= 1;
-        }
-        for x in [e.u, e.v] {
-            if scope.owns(x) {
-                self.reconcile_partner(graph, x);
-            }
-        }
-        true
-    }
-
-    /// Applies a partner broadcast `(x, p)` from `x`'s owning shard.
-    /// Change-gated; returns `true` when the entry moved.
-    pub(crate) fn apply_partner_update(&mut self, x: u32, p: u32) -> bool {
-        if self.partner[x as usize] == p {
-            return false;
-        }
-        self.partner[x as usize] = p;
-        true
-    }
-
-    /// Recomputes `partner[x]` as the far endpoint of `x`'s earliest matched
-    /// incident slot and dirties the entry when it moved — valid only where
-    /// the arena holds `x`'s full adjacency (i.e. this shard owns `x`).
-    fn reconcile_partner(&mut self, graph: &DynGraph, x: u32) {
-        let mut best: Option<((u64, u64), u32)> = None;
-        for (&w, &s) in graph.neighbors(x).iter().zip(graph.neighbor_slots(x)) {
-            if self.matched[s as usize] {
-                let p = self.prio[s as usize];
-                if best.is_none_or(|(bp, _)| p < bp) {
-                    best = Some((p, w));
-                }
-            }
-        }
-        let new = best.map_or(u32::MAX, |(_, w)| w);
-        if self.partner[x as usize] != new {
-            self.partner[x as usize] = new;
-            self.dirty_partner.push(x);
-        }
-    }
-
-    /// Drains the vertices whose partner entries this shard wrote since the
-    /// last drain, sorted and deduplicated (ownership filtering is the
-    /// caller's job — foreign writes are tracked too but never broadcast).
-    pub(crate) fn drain_dirty_partners(&mut self) -> Vec<u32> {
-        let mut d = std::mem::take(&mut self.dirty_partner);
-        d.sort_unstable();
-        d.dedup();
-        d
+        self.partner[e.u as usize] = u32::MAX;
+        self.partner[e.v as usize] = u32::MAX;
     }
 }
 

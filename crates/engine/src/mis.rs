@@ -17,24 +17,12 @@ use rayon::prelude::*;
 
 use crate::dyn_graph::DynGraph;
 use crate::priority::vertex_priority;
-use crate::sharded::ShardScope;
 
 /// [`ConflictDag`] view of a dynamic graph under hashed vertex priorities.
-///
-/// With a [`ShardScope`] the conflict lists are restricted to *owned*
-/// vertices: seeds and flip wake-ups stay inside the shard, and propagation
-/// to vertices owned by other shards travels through the sharded engine's
-/// exchange rounds instead. [`MisDag::decide`] still scans the full
-/// adjacency — the shard's arena holds every edge incident to an owned
-/// vertex and the membership flags of foreign neighbors are kept in sync at
-/// exchange-round boundaries, so the decision rule itself never narrows.
 pub(crate) struct MisDag<'a> {
     graph: &'a DynGraph,
     /// Cached `hash64(seed, v)` per vertex, so priority queries are a load.
     prio: &'a [u64],
-    /// When set, conflicts (and therefore wake-ups) are confined to the
-    /// scope's vertex range.
-    scope: Option<ShardScope>,
 }
 
 impl ConflictDag for MisDag<'_> {
@@ -50,25 +38,16 @@ impl ConflictDag for MisDag<'_> {
     }
 
     fn for_each_conflict(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        match self.scope {
-            None => {
-                for &w in self.graph.neighbors(v) {
-                    f(w);
-                }
-            }
-            Some(scope) => {
-                for &w in self.graph.neighbors(v) {
-                    if scope.owns(w) {
-                        f(w);
-                    }
-                }
-            }
+        for &w in self.graph.neighbors(v) {
+            f(w);
         }
     }
 
-    /// Full-adjacency decision: unlike the (possibly scoped) conflict walk,
-    /// the rule always consults every neighbor. Identical to the trait
-    /// default when no scope is set.
+    /// A direct scan of `v`'s adjacency slice that stops at the first
+    /// accepted earlier neighbor. The trait default reaches the neighbors
+    /// through [`ConflictDag::for_each_conflict`]'s `dyn FnMut` callback,
+    /// which cannot stop early, so it would walk every neighbor of every
+    /// re-decided vertex on the repair path.
     fn decide(&self, v: u32, accepted: &[bool]) -> bool {
         let pv = self.priority(v);
         !self
@@ -77,17 +56,6 @@ impl ConflictDag for MisDag<'_> {
             .iter()
             .any(|&w| accepted[w as usize] && self.priority(w) < pv)
     }
-}
-
-/// The greedy decision for vertex `v` on the current flags: in the MIS iff
-/// no earlier-priority neighbor is. Used by the sharded engine to gate
-/// wake-ups derived from incoming boundary flips.
-pub(crate) fn mis_decide(graph: &DynGraph, prio: &[u64], in_mis: &[bool], v: u32) -> bool {
-    let pv = (prio[v as usize], v);
-    !graph
-        .neighbors(v)
-        .iter()
-        .any(|&w| in_mis[w as usize] && (prio[w as usize], w) < pv)
 }
 
 /// Precomputes the per-vertex priority hashes for `seed`.
@@ -110,26 +78,7 @@ pub(crate) fn repair_mis(
     seeds: &[u32],
     scratch: &mut RepairScratch,
 ) -> (Vec<u32>, RepairStats) {
-    repair_mis_scoped(graph, prio, in_mis, seeds, scratch, None)
-}
-
-/// [`repair_mis`] confined to a shard: only vertices the scope owns are
-/// seeded or woken, so the returned net-changed set is owned-only; foreign
-/// membership flags are read (the decision rule is global) but never
-/// written. Callers pass owned seeds.
-pub(crate) fn repair_mis_scoped(
-    graph: &DynGraph,
-    prio: &[u64],
-    in_mis: &mut [bool],
-    seeds: &[u32],
-    scratch: &mut RepairScratch,
-    scope: Option<ShardScope>,
-) -> (Vec<u32>, RepairStats) {
-    debug_assert!(
-        scope.is_none_or(|sc| seeds.iter().all(|&v| sc.owns(v))),
-        "scoped MIS repair seeded with a foreign vertex"
-    );
-    let mut dag = MisDag { graph, prio, scope };
+    let mut dag = MisDag { graph, prio };
     repair_fixed_point_with_scratch(&mut dag, in_mis, seeds, scratch)
 }
 

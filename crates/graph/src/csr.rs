@@ -7,7 +7,6 @@
 //! dropped and parallel edges merged during construction.
 
 use greedy_prims::pack::par_dedup_adjacent;
-use greedy_prims::scan::counts_to_offsets;
 use greedy_prims::sort::sort_by_key_parallel;
 use rayon::prelude::*;
 
@@ -208,15 +207,6 @@ impl Graph {
         EdgeList::new(self.num_vertices(), edges)
     }
 
-    /// Per-vertex adjacency lists, cloned out of the CSR arrays. This is the
-    /// mutable form the batch-dynamic engine edits between snapshots.
-    pub fn to_adjacency_lists(&self) -> Vec<Vec<u32>> {
-        (0..self.num_vertices() as u32)
-            .into_par_iter()
-            .map(|v| self.neighbors(v).to_vec())
-            .collect()
-    }
-
     /// Builds a graph directly from already-valid CSR arrays: `offsets` of
     /// length `n + 1` and the concatenated, per-vertex-sorted `neighbors`.
     /// This is the zero-copy path back from flat external layouts (the
@@ -227,27 +217,6 @@ impl Graph {
         debug_assert!(
             g.validate().is_ok(),
             "from_csr_arrays: input violates CSR invariants: {:?}",
-            g.validate()
-        );
-        g
-    }
-
-    /// Builds a graph from per-vertex adjacency lists that already satisfy
-    /// the CSR invariants: each list strictly sorted, no self-loops, and
-    /// symmetric (`w ∈ adj[v] ⟺ v ∈ adj[w]`). This is the fast path back
-    /// from the batch-dynamic representation, which maintains those
-    /// invariants on every update; full validation runs in debug builds.
-    pub fn from_sorted_adjacency(adj: &[Vec<u32>]) -> Self {
-        let degrees: Vec<usize> = adj.iter().map(Vec::len).collect();
-        let offsets = counts_to_offsets(&degrees);
-        let neighbors: Vec<u32> = adj
-            .par_iter()
-            .flat_map_iter(|list| list.iter().copied())
-            .collect();
-        let g = Self { offsets, neighbors };
-        debug_assert!(
-            g.validate().is_ok(),
-            "from_sorted_adjacency: input violates CSR invariants: {:?}",
             g.validate()
         );
         g
@@ -446,27 +415,6 @@ mod tests {
     #[should_panic(expected = "listed twice")]
     fn induced_subgraph_rejects_duplicates() {
         triangle().induced_subgraph(&[0, 0]);
-    }
-
-    #[test]
-    fn adjacency_lists_roundtrip() {
-        let g = Graph::from_edges(
-            5,
-            &[
-                Edge::new(0, 1),
-                Edge::new(1, 2),
-                Edge::new(2, 3),
-                Edge::new(0, 4),
-            ],
-        );
-        let adj = g.to_adjacency_lists();
-        assert_eq!(adj[0], vec![1, 4]);
-        assert_eq!(adj[2], vec![1, 3]);
-        let g2 = Graph::from_sorted_adjacency(&adj);
-        assert_eq!(g, g2);
-        // Empty graph roundtrip.
-        let e = Graph::empty(3);
-        assert_eq!(Graph::from_sorted_adjacency(&e.to_adjacency_lists()), e);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl Histogram {
     /// are widened. Because every [`Histogram`] shares the same fixed bucket
     /// layout, the merged histogram is exactly what recording both sample
     /// streams into one instrument would have produced — the primitive
-    /// per-shard registries need ([`crate::Registry::merge`]).
+    /// behind [`crate::Registry::merge`].
     ///
     /// Reads `other` with relaxed loads: exact once its recording threads are
     /// quiesced, may miss a few in-flight samples otherwise (never corrupts).

@@ -39,8 +39,6 @@ pub const EVENT_JOURNAL_CAPACITY: usize = 256;
 pub enum EventKind {
     /// The slack-CSR arena was rebuilt from scratch.
     ArenaRebuild {
-        /// Shard whose arena rebuilt (0 for a single-engine run).
-        shard: u64,
         /// Trigger label (`"insert_overflow"`, `"dead_space"`, `"shrink"`,
         /// `"initial"`).
         reason: &'static str,
@@ -98,13 +96,12 @@ impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EventKind::ArenaRebuild {
-                shard,
                 reason,
                 capacity,
                 tasks,
             } => write!(
                 f,
-                "arena_rebuild shard={shard} reason={reason} capacity={capacity} tasks={tasks}"
+                "arena_rebuild reason={reason} capacity={capacity} tasks={tasks}"
             ),
             EventKind::ArenaRelocation { vertex, new_cap } => {
                 write!(f, "arena_relocation vertex={vertex} new_cap={new_cap}")
@@ -262,7 +259,6 @@ mod tests {
     fn rendering_is_deterministic_and_comment_prefixed() {
         let j = EventJournal::new(8);
         j.record(EventKind::ArenaRebuild {
-            shard: 0,
             reason: "dead_space",
             capacity: 1024,
             tasks: 4,
@@ -277,7 +273,7 @@ mod tests {
         assert_eq!(text, j.render_text(), "rendering must be deterministic");
         assert!(text.lines().all(|l| l.starts_with('#')));
         if crate::ENABLED {
-            assert!(text.contains("arena_rebuild shard=0 reason=dead_space capacity=1024 tasks=4"));
+            assert!(text.contains("arena_rebuild reason=dead_space capacity=1024 tasks=4"));
             assert!(text.contains("wal_recovery round=41 replayed=7 tail_truncated=true"));
             assert!(text.contains("feed_lag round=12"));
             assert!(text.starts_with("# event_journal retained=3 total=3\n"));

@@ -3,7 +3,7 @@
 //! Dependency-free observability primitives for the serving stack: atomic
 //! [`Counter`]s and [`Gauge`]s, a lock-free log-bucketed [`Histogram`] with
 //! p50/p90/p99/max snapshots, a [`Registry`] with deterministic
-//! Prometheus-style text exposition (mergeable across shards via
+//! Prometheus-style text exposition (several registries render as one via
 //! [`Registry::merge`]), a [`FlightRecorder`] ring that keeps the last K
 //! structured records (the server stores one per-round commit timeline in
 //! it), and an [`EventJournal`] ring of typed, timestamped

@@ -105,9 +105,8 @@ impl Registry {
     /// Folds `other`'s instruments into this registry by name: counters
     /// **sum**, gauges take the **max** level, histograms merge bucket-wise
     /// ([`Histogram::merge_from`]). A name absent here is registered first,
-    /// so merging into a fresh registry copies `other` — the per-shard
-    /// exposition path the ROADMAP's sharding item calls for: each shard
-    /// keeps its own registry and the scrape merges them all into one.
+    /// so merging into a fresh registry copies `other` — how the server
+    /// renders its own registry and the engine's as one exposition.
     ///
     /// `other`'s entries are snapshotted before any self-registration, so the
     /// two registries' locks are never held at once (merging in both
@@ -221,8 +220,8 @@ mod tests {
         // `b` is untouched.
         assert_eq!(b.counter("rounds_total").get(), 4);
 
-        // Merging two shards into a fresh registry (the sharded-scrape
-        // shape) renders one combined exposition deterministically.
+        // Merging into a fresh registry (the scrape shape) renders one
+        // combined exposition deterministically.
         let combined = Registry::new();
         combined.merge(&a);
         assert_eq!(combined.render_text(), a.render_text());

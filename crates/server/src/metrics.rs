@@ -28,7 +28,6 @@
 //! | `server_repair_rounds_mis` | MIS repair dependence rounds (count) |
 //! | `server_repair_rounds_matching` | matching repair rounds (count) |
 //! | `server_repair_max_frontier` | peak single-round ready set (count) |
-//! | `server_cross_shard_rounds` | cross-shard exchange rounds (count; 0 unsharded) |
 //!
 //! Read path: `server_query_us`, `server_snapshot_age_us` (one sample per
 //! membership query). Counters: `server_rounds_committed_total`,
@@ -45,7 +44,7 @@
 //! `serve_load --metrics` prints exactly that comparison.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use greedy_engine::prelude::EngineMetrics;
@@ -88,9 +87,6 @@ pub struct RoundTrace {
     pub flips: u64,
     /// Copy-on-write pages the round's publication repacked.
     pub pages: u64,
-    /// Cross-shard exchange rounds the commit needed to reach global
-    /// quiescence (always 0 for a single-arena engine).
-    pub cross_shard_rounds: u64,
 }
 
 /// The server's instrument set. Construction registers every metric, so a
@@ -107,12 +103,6 @@ pub struct ServerMetrics {
     /// clone attached via `Engine::attach_metrics`; this copy shares the
     /// same `Arc`'d instruments, so the exposition sees every sample.
     engine: EngineMetrics,
-    /// Per-shard engine instrument sets, populated by
-    /// [`ServerMetrics::engine_metrics_shards`] when the served engine runs
-    /// more than one shard. Each shard records into its own registry; the
-    /// exposition merges them all (counters sum, gauges take the max,
-    /// histograms union), so `engine_*` rows aggregate every shard.
-    engine_shards: Mutex<Vec<EngineMetrics>>,
     /// Micros since `epoch` of the latest snapshot publication; `u64::MAX`
     /// until the first (age reads as 0 before any publication).
     last_publish_us: AtomicU64,
@@ -131,7 +121,6 @@ pub struct ServerMetrics {
     repair_rounds_mis: Arc<Histogram>,
     repair_rounds_matching: Arc<Histogram>,
     repair_max_frontier: Arc<Histogram>,
-    cross_shard_rounds: Arc<Histogram>,
     rounds_committed: Arc<Counter>,
     updates_effective: Arc<Counter>,
     repair_decided: Arc<Counter>,
@@ -169,7 +158,6 @@ impl ServerMetrics {
         let journal = Arc::new(EventJournal::default());
         Self {
             engine: EngineMetrics::new(journal.clone()),
-            engine_shards: Mutex::new(Vec::new()),
             journal,
             recorder: FlightRecorder::new(FLIGHT_RECORDER_ROUNDS),
             last_publish_us: AtomicU64::new(u64::MAX),
@@ -186,7 +174,6 @@ impl ServerMetrics {
             repair_rounds_mis: registry.histogram("server_repair_rounds_mis"),
             repair_rounds_matching: registry.histogram("server_repair_rounds_matching"),
             repair_max_frontier: registry.histogram("server_repair_max_frontier"),
-            cross_shard_rounds: registry.histogram("server_cross_shard_rounds"),
             rounds_committed: registry.counter("server_rounds_committed_total"),
             updates_effective: registry.counter("server_updates_effective_total"),
             repair_decided: registry.counter("server_repair_decided_total"),
@@ -224,7 +211,6 @@ impl ServerMetrics {
         self.repair_rounds_mis.record(t.mis_rounds);
         self.repair_rounds_matching.record(t.matching_rounds);
         self.repair_max_frontier.record(t.max_frontier);
-        self.cross_shard_rounds.record(t.cross_shard_rounds);
         self.rounds_committed.inc();
         self.updates_effective.add(effective_updates);
         self.repair_decided.add(t.decided);
@@ -317,22 +303,6 @@ impl ServerMetrics {
         &self.engine
     }
 
-    /// One engine-internals instrument set per shard, all feeding the shared
-    /// event journal. For `shards <= 1` this is just a clone of the base set
-    /// (the single-engine path, unchanged); for more, each shard gets its
-    /// own registry, kept here so [`ServerMetrics::render_text`] merges every
-    /// shard's `engine_*` instruments into the exposition.
-    pub fn engine_metrics_shards(&self, shards: usize) -> Vec<EngineMetrics> {
-        if shards <= 1 {
-            return vec![self.engine.clone()];
-        }
-        let sets: Vec<EngineMetrics> = (0..shards)
-            .map(|_| EngineMetrics::new(self.journal.clone()))
-            .collect();
-        *crate::rounds::lock_unpoisoned(&self.engine_shards) = sets.clone();
-        sets
-    }
-
     /// Repair-rounds histogram of the MIS (the paper's depth observable).
     pub fn repair_rounds_mis(&self) -> &Histogram {
         &self.repair_rounds_mis
@@ -350,16 +320,12 @@ impl ServerMetrics {
 
     /// The full text exposition: the `server_*` and `engine_*` instrument
     /// sets merged into one deterministically-ordered listing (via
-    /// [`greedy_obs::Registry::merge`] — the same primitive a sharded
-    /// aggregator would use), followed by the event journal as `#` comment
-    /// lines. Deterministic on a quiesced server, like each part.
+    /// [`greedy_obs::Registry::merge`]), followed by the event journal as `#`
+    /// comment lines. Deterministic on a quiesced server, like each part.
     pub fn render_text(&self) -> String {
         let merged = Registry::new();
         merged.merge(&self.registry);
         merged.merge(self.engine.registry());
-        for shard in crate::rounds::lock_unpoisoned(&self.engine_shards).iter() {
-            merged.merge(shard.registry());
-        }
         let mut out = merged.render_text();
         out.push_str(&self.journal.render_text());
         out
@@ -387,7 +353,6 @@ mod tests {
             "server_repair_rounds_mis",
             "server_repair_rounds_matching",
             "server_repair_max_frontier",
-            "server_cross_shard_rounds",
             "server_rounds_committed_total",
             "server_updates_effective_total",
             "server_repair_decided_total",
@@ -440,8 +405,7 @@ mod tests {
                     max_frontier: 4,
                     decided: 8,
                     flips: 2,
-                    pages: 3,
-                    cross_shard_rounds: round - 1,
+                    pages: round,
                 },
                 10 * round,
             );
@@ -454,11 +418,8 @@ mod tests {
         assert_eq!(m.recent_rounds()[2].round, 3);
         assert_eq!(m.repair_rounds_mis().snapshot().max, 3);
         assert_eq!(m.commit_total_us().count(), 3);
-        let xs = m
-            .registry()
-            .histogram("server_cross_shard_rounds")
-            .snapshot();
-        assert_eq!((xs.count, xs.max), (3, 2));
+        let pages = m.registry().histogram("server_publish_pages").snapshot();
+        assert_eq!((pages.count, pages.max), (3, 3));
         let text = m.render_text();
         assert!(text.contains("server_rounds_committed_total 3"));
         assert!(text.contains("server_updates_effective_total 60"));

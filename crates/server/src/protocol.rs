@@ -240,27 +240,19 @@ pub struct StatsReply {
     /// 0 when serving memory-only or under the per-round fsync policy;
     /// bounded by the group size under group fsync.
     pub durable_lag: u64,
-    /// Vertex-partition shards the engine runs (1 for the single-arena
-    /// engine).
-    pub shards: u64,
-    /// High-water mark of updates staged for a single shard in one round
-    /// (0 unsharded): a skew gauge — `shards` × this ≫ `updates` means the
-    /// partition is unbalanced for the workload.
-    pub max_shard_staged: u64,
 }
 
 /// Wire version of the [`StatsReply`] body: a tagged field block (version
 /// byte, field count, then `u8` field id + `u64` value per field). Fields
 /// the decoder does not know are skipped, so adding one is no longer a
-/// protocol break. The block rides response tag 10; the pre-versioning
-/// fixed 9×`u64` layout keeps its old tag 4 as a decode-only alias — a
-/// separate tag, because a field block truncated to exactly 72 bytes would
-/// otherwise be indistinguishable from a complete legacy body.
+/// protocol break. The block rides response tag 10.
 pub const STATS_VERSION: u8 = 2;
 
 /// Field ids of the [`StatsReply`] wire block, in `(id, value)` order. Ids
-/// are append-only: never reuse or renumber one.
-const STATS_FIELDS: usize = 16;
+/// are append-only: never reuse or renumber one. Ids 15 and 16 are reserved:
+/// they carried the shard count and the per-shard staging high-water mark of
+/// the vertex-partitioned engine, and are no longer sent.
+const STATS_FIELDS: usize = 14;
 
 impl StatsReply {
     /// Field block `(id, value)` pairs in encode order.
@@ -280,8 +272,6 @@ impl StatsReply {
             (12, self.commit_p50_us),
             (13, self.commit_p99_us),
             (14, self.durable_lag),
-            (15, self.shards),
-            (16, self.max_shard_staged),
         ]
     }
 
@@ -311,23 +301,11 @@ impl StatsReply {
             12 => self.commit_p50_us = value,
             13 => self.commit_p99_us = value,
             14 => self.durable_lag = value,
-            15 => self.shards = value,
-            16 => self.max_shard_staged = value,
-            // Unknown id: a field from a newer server. Skipped, not fatal —
-            // that is the point of the versioned block.
+            // Unknown id: a field from a newer server, or a reserved one (15
+            // and 16) from an older one. Skipped, not fatal — that is the
+            // point of the versioned block.
             _ => {}
         }
-    }
-
-    /// Decodes the legacy (response tag 4) fixed 9×`u64` stats body; fields
-    /// the old layout never carried stay at their defaults.
-    fn decode_legacy_body(c: &mut Cursor<'_>) -> io::Result<Self> {
-        let mut s = StatsReply::default();
-        for id in 1..=9 {
-            let v = c.u64()?;
-            s.set_field(id, v);
-        }
-        Ok(s)
     }
 
     /// Decodes the versioned (response tag 10) field-block stats body.
@@ -393,8 +371,9 @@ pub enum Response {
 /// (decoders skip fields they do not know, like the stats block's ids).
 pub const TRACE_VERSION: u8 = 1;
 
-/// `u64` fields per trace record, in [`RoundTrace`] declaration order.
-/// Append-only: new fields go at the end so old decoders can skip them.
+/// `u64` fields per trace record: [`RoundTrace`]'s fields in declaration
+/// order, then the reserved position 15. Append-only: new fields go at the
+/// end so old decoders can skip them.
 pub const TRACE_FIELDS: u8 = 16;
 
 /// One record's fields in wire order ([`RoundTrace`] declaration order).
@@ -415,7 +394,10 @@ fn trace_fields(t: &RoundTrace) -> [u64; TRACE_FIELDS as usize] {
         t.decided,
         t.flips,
         t.pages,
-        t.cross_shard_rounds,
+        // Position 15 is reserved: it carried the vertex-partitioned engine's
+        // cross-shard exchange rounds and is always written as 0, so the
+        // record layout (and TRACE_FIELDS) stays the same.
+        0,
     ]
 }
 
@@ -480,7 +462,6 @@ pub(crate) fn read_trace_body(c: &mut Cursor<'_>) -> io::Result<Vec<RoundTrace>>
             decided: vals[12],
             flips: vals[13],
             pages: vals[14],
-            cross_shard_rounds: vals[15],
         });
     }
     Ok(out)
@@ -771,9 +752,8 @@ impl Response {
                 round: c.u64()?,
                 partners: c.vertices()?,
             },
-            // Decode-only legacy alias: pre-versioning servers sent stats as
-            // tag 4 with the fixed 9×u64 body.
-            4 => Response::Stats(StatsReply::decode_legacy_body(&mut c)?),
+            // Tag 4 is reserved: it carried the pre-versioning fixed-layout
+            // stats body and is rejected as unknown.
             10 => Response::Stats(StatsReply::decode_body(&mut c)?),
             5 => Response::ShuttingDown,
             9 => {
@@ -1024,8 +1004,6 @@ mod tests {
             commit_p50_us: 340,
             commit_p99_us: 1200,
             durable_lag: 1,
-            shards: 4,
-            max_shard_staged: 9,
         }));
         roundtrip_response(Response::Stats(StatsReply::default()));
         roundtrip_response(Response::ShuttingDown);
@@ -1075,17 +1053,23 @@ mod tests {
         roundtrip_response(Response::Snapshot(SnapshotChunk::default()));
     }
 
-    /// The satellite's compat check: a pre-versioning stats frame (fixed
-    /// 9×u64 body, 72 bytes) still decodes, with the new fields at their
-    /// defaults — and a frame from a *newer* server carrying an unknown
-    /// field id decodes too, skipping it.
+    /// Stats compatibility: the reserved pre-versioning tag 4 is rejected
+    /// as an unknown tag, while a field block carrying ids this decoder does
+    /// not know — the reserved ids 15 and 16 an older server still sends,
+    /// or a newer server's additions — decodes with those ids skipped.
     #[test]
     fn legacy_and_future_stats_frames_decode() {
-        // Legacy v1 layout: tag 4 then nine u64s in the historical order.
+        // The retired fixed layout: tag 4 then nine u64s.
         let mut buf = vec![4u8];
         for x in [4u64, 3, 10, 20, 5, 4, 4, 25, 5] {
             buf.extend_from_slice(&x.to_le_bytes());
         }
+        let err = Response::decode(&buf).expect_err("tag 4 is reserved");
+        assert!(
+            err.to_string().contains("unknown response tag 4"),
+            "tag 4 must be rejected as unknown, got: {err}"
+        );
+
         let expected = StatsReply {
             round: 4,
             durable_round: 3,
@@ -1098,20 +1082,18 @@ mod tests {
             edges_deleted: 5,
             ..StatsReply::default()
         };
-        assert_eq!(
-            Response::decode(&buf).unwrap(),
-            Response::Stats(expected),
-            "legacy fixed-layout stats body must still decode"
-        );
-
-        // Future frame: the current field block plus an unknown id 200.
+        // The current field block plus the reserved ids 15 and 16 and an
+        // unknown id 200.
         let mut body = Vec::new();
         expected.encode_body(&mut body);
-        // Patch the count up by one and append the unknown field.
+        let extra = [(15u8, 4u64), (16, 9), (200, 77)];
+        // Patch the count up and append the extra fields.
         let count = u32::from_le_bytes(body[1..5].try_into().unwrap());
-        body[1..5].copy_from_slice(&(count + 1).to_le_bytes());
-        body.push(200);
-        body.extend_from_slice(&77u64.to_le_bytes());
+        body[1..5].copy_from_slice(&(count + extra.len() as u32).to_le_bytes());
+        for (id, value) in extra {
+            body.push(id);
+            body.extend_from_slice(&value.to_le_bytes());
+        }
         let mut buf = vec![10u8];
         buf.extend_from_slice(&body);
         assert_eq!(
@@ -1198,7 +1180,6 @@ mod tests {
             decided: 8,
             flips: 2,
             pages: 3,
-            cross_shard_rounds: round % 3,
         };
         roundtrip_response(Response::Trace(vec![]));
         roundtrip_response(Response::Trace(vec![trace(1), trace(2), trace(3)]));
@@ -1208,6 +1189,8 @@ mod tests {
         let wire = Response::Trace(traces.clone()).encode();
         assert_eq!(wire[0], 11);
         assert_eq!(&wire[1..], &encode_round_traces(&traces)[..]);
+        // The reserved position 15 is the last field of every record: 0.
+        assert_eq!(trace_fields(&trace(7))[15], 0);
 
         // A count lying about the records present is rejected before any
         // allocation can be sized from it.

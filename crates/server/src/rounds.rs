@@ -24,11 +24,10 @@
 
 use std::collections::HashMap;
 use std::mem;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use greedy_engine::prelude::{CommitEngine, EdgeBatch};
+use greedy_engine::prelude::{EdgeBatch, Engine};
 use greedy_graph::edge_list::Edge;
 
 use crate::feed::{DeltaFeed, FullDelta};
@@ -116,11 +115,6 @@ pub struct CommitSinks<'a> {
     /// the flight recorder. `None` (or an `obs-off` build) commits with zero
     /// timing overhead — not even the `Instant::now` reads happen.
     pub metrics: Option<&'a ServerMetrics>,
-    /// High-water mark of per-shard staged updates, `fetch_max`ed after every
-    /// round from the engine's [`CommitEngine::last_max_shard_staged`]. Stays
-    /// 0 for the single-arena engine; `None` in tests that only exercise the
-    /// scheduler.
-    pub shard_staged_high: Option<&'a AtomicU64>,
 }
 
 /// Per-round rendezvous between the engine thread and the writers waiting on
@@ -291,7 +285,7 @@ impl RoundScheduler {
     /// `apply_batch` — a drop guard marks the scheduler shut down and wakes
     /// every blocked writer with [`ShuttingDown`]; nobody waits on a dead
     /// engine.
-    pub fn drive<E: CommitEngine>(&self, mut engine: E, sinks: CommitSinks<'_>) -> E {
+    pub fn drive(&self, mut engine: Engine, sinks: CommitSinks<'_>) -> Engine {
         // Armed for the whole drive: runs on normal return AND on unwind, so
         // a panicking engine thread cannot strand writers on the condvar.
         let _exit_guard = EngineExitGuard(self);
@@ -361,9 +355,6 @@ impl RoundScheduler {
             let staged_updates = (batch.insertions.len() + batch.deletions.len()) as u64;
             let report = engine.apply_batch(&batch);
             let t_apply = obs.map(|_| Instant::now());
-            if let Some(high) = sinks.shard_staged_high {
-                high.fetch_max(engine.last_max_shard_staged(), Ordering::Relaxed);
-            }
             let full = std::sync::Arc::new(FullDelta::from_report(round, &report));
 
             // Durability first: the round's record must be on the log (and
@@ -452,7 +443,6 @@ impl RoundScheduler {
                         decided: report.mis_repair.decided + report.matching_repair.decided,
                         flips: report.mis_repair.flips + report.matching_repair.flips,
                         pages: engine.last_publication_pages() as u64,
-                        cross_shard_rounds: engine.last_cross_shard_rounds(),
                     },
                     (report.edges_inserted + report.edges_deleted) as u64,
                 );
@@ -536,7 +526,6 @@ mod tests {
                     feed: None,
                     wal: None,
                     metrics: None,
-                    shard_staged_high: None,
                 },
             )
         })

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use greedy_engine::prelude::{CommitEngine, Engine};
+use greedy_engine::prelude::Engine;
 use greedy_graph::edge_list::Edge;
 
 use crate::feed::{DeltaFeed, FullDelta};
@@ -105,13 +105,6 @@ struct Shared {
     /// traces), every connection worker (query latency), and the stats /
     /// metrics exposition paths.
     metrics: Option<Arc<ServerMetrics>>,
-    /// Vertex-partition shards the engine runs (1 for the single-arena
-    /// engine); reported as [`StatsReply::shards`].
-    shards: u64,
-    /// High-water mark of updates staged for one shard in one round, fed by
-    /// the engine thread after every commit; reported as
-    /// [`StatsReply::max_shard_staged`]. Stays 0 unsharded.
-    max_shard_staged: AtomicU64,
 }
 
 impl Shared {
@@ -128,21 +121,21 @@ impl Shared {
 /// connection worker. Dropping the handle shuts the server down and joins
 /// them all; [`ServerHandle::shutdown`] does the same but returns the final
 /// engine and the recorded rounds.
-pub struct ServerHandle<E: CommitEngine = Engine> {
+pub struct ServerHandle {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    engine_thread: Option<JoinHandle<E>>,
+    engine_thread: Option<JoinHandle<Engine>>,
 }
 
 /// What [`ServerHandle::shutdown`] hands back.
-pub struct ShutdownReport<E: CommitEngine = Engine> {
+pub struct ShutdownReport {
     /// The engine in its final state (every committed round applied).
-    pub engine: E,
+    pub engine: Engine,
     /// The committed rounds, when [`ServerConfig::record_rounds`] was on.
     pub rounds: Vec<CommittedRound>,
 }
 
-impl<E: CommitEngine> ServerHandle<E> {
+impl ServerHandle {
     /// The bound address (useful with the `:0` ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
@@ -197,7 +190,7 @@ impl<E: CommitEngine> ServerHandle<E> {
     /// Drains staged updates into a final round, stops accepting, closes
     /// every connection, joins every thread, and returns the final engine
     /// plus the recorded rounds.
-    pub fn shutdown(mut self) -> ShutdownReport<E> {
+    pub fn shutdown(mut self) -> ShutdownReport {
         let engine = self
             .join_all()
             .expect("server threads already joined")
@@ -214,7 +207,7 @@ impl<E: CommitEngine> ServerHandle<E> {
     /// other thread is still drained and joined (a panicked connection
     /// worker or a poisoned registry must not turn shutdown into a cascade
     /// panic; the panic already surfaced on the thread that hit it).
-    fn join_all(&mut self) -> Option<Option<E>> {
+    fn join_all(&mut self) -> Option<Option<Engine>> {
         if self.engine_thread.is_none() && self.accept_thread.is_none() {
             return None;
         }
@@ -249,7 +242,7 @@ impl<E: CommitEngine> ServerHandle<E> {
     }
 }
 
-impl<E: CommitEngine> Drop for ServerHandle<E> {
+impl Drop for ServerHandle {
     fn drop(&mut self) {
         if self.engine_thread.is_some() || self.accept_thread.is_some() {
             let _ = self.join_all();
@@ -257,20 +250,17 @@ impl<E: CommitEngine> Drop for ServerHandle<E> {
     }
 }
 
-/// Starts a server for `engine` on an OS-assigned local port. Works for any
-/// [`CommitEngine`] — the single-arena [`Engine`] or the vertex-partitioned
-/// `ShardedEngine`; by the greedy fixed-point's uniqueness the served state
-/// is identical either way.
-pub fn serve<E: CommitEngine>(engine: E, config: ServerConfig) -> io::Result<ServerHandle<E>> {
+/// Starts a server for `engine` on an OS-assigned local port.
+pub fn serve(engine: Engine, config: ServerConfig) -> io::Result<ServerHandle> {
     serve_on(engine, config, "127.0.0.1:0")
 }
 
 /// Starts a server for `engine` on `addr`.
-pub fn serve_on<E: CommitEngine, A: ToSocketAddrs>(
-    engine: E,
+pub fn serve_on<A: ToSocketAddrs>(
+    engine: Engine,
     config: ServerConfig,
     addr: A,
-) -> io::Result<ServerHandle<E>> {
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     // Recover-or-create the WAL before anything is published: a directory
     // with a log in it is authoritative over the engine argument.
@@ -284,12 +274,8 @@ pub fn serve_on<E: CommitEngine, A: ToSocketAddrs>(
                     recovered.replayed,
                     recovered.tail_truncated,
                 );
-                // Recovery always rebuilds the single-arena engine; the
-                // caller's engine type absorbs it (a sharded engine
-                // re-partitions — sound because the greedy fixed point is
-                // unique given the recovered edges + seed).
                 (
-                    engine.absorb_recovered(recovered.engine),
+                    recovered.engine,
                     recovered.round,
                     Some(writer),
                     Some(outcome),
@@ -318,9 +304,7 @@ pub fn serve_on<E: CommitEngine, A: ToSocketAddrs>(
                 tail_truncated,
             });
         }
-        // One instrument set per shard (the single set, unsharded): the
-        // exposition merges them, so engine_* rows aggregate all shards.
-        engine.attach_shard_metrics(m.engine_metrics_shards(engine.shard_count()));
+        engine.attach_metrics(m.engine_metrics().clone());
         if let Some(w) = &mut wal_writer {
             w.attach_journal(m.journal().clone());
         }
@@ -349,8 +333,6 @@ pub fn serve_on<E: CommitEngine, A: ToSocketAddrs>(
         wal: wal_writer.map(Mutex::new),
         durable,
         metrics,
-        shards: engine.shard_count() as u64,
-        max_shard_staged: AtomicU64::new(0),
     });
 
     let engine_thread = {
@@ -366,7 +348,6 @@ pub fn serve_on<E: CommitEngine, A: ToSocketAddrs>(
                         feed: Some(&shared.feed),
                         wal: shared.wal.as_ref(),
                         metrics: shared.metrics.as_deref(),
-                        shard_staged_high: Some(&shared.max_shard_staged),
                     },
                 )
             })?
@@ -725,8 +706,6 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 resyncs: 0,
                 commit_p50_us: 0,
                 commit_p99_us: 0,
-                shards: shared.shards,
-                max_shard_staged: shared.max_shard_staged.load(Ordering::Relaxed),
             };
             if let Some(m) = &shared.metrics {
                 reply.resyncs = m.feed_resyncs();

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use greedy_engine::prelude::{CommitEngine, EdgeBatch, Engine};
+use greedy_engine::prelude::{EdgeBatch, Engine};
 use greedy_graph::csr::Graph;
 use greedy_graph::edge_list::Edge;
 use greedy_obs::{EventJournal, EventKind};
@@ -378,8 +378,8 @@ pub struct Checkpoint {
     pub replica: ReplicaState,
 }
 
-fn encode_checkpoint<E: CommitEngine>(round: u64, engine: &E) -> Vec<u8> {
-    let edge_list = engine.edge_list();
+fn encode_checkpoint(round: u64, engine: &Engine) -> Vec<u8> {
+    let edge_list = engine.graph().to_edge_list();
     let edges = edge_list.edges();
     let mut out = Vec::new();
 
@@ -508,11 +508,7 @@ impl Wal {
     /// Opens `cfg.dir` for a fresh log: creates the directory and writes the
     /// base checkpoint (round `base_round`) capturing `engine`'s current
     /// state, so recovery always has a floor even if no round ever commits.
-    pub fn create<E: CommitEngine>(
-        cfg: WalConfig,
-        engine: &E,
-        base_round: u64,
-    ) -> io::Result<Self> {
+    pub fn create(cfg: WalConfig, engine: &Engine, base_round: u64) -> io::Result<Self> {
         fs::create_dir_all(&cfg.dir)?;
         let mut wal = Self {
             cfg,
@@ -649,11 +645,7 @@ impl Wal {
     }
 
     /// Writes a checkpoint if the periodic cadence says one is due.
-    pub fn maybe_checkpoint<E: CommitEngine>(
-        &mut self,
-        round: u64,
-        engine: &E,
-    ) -> io::Result<bool> {
+    pub fn maybe_checkpoint(&mut self, round: u64, engine: &Engine) -> io::Result<bool> {
         if self.cfg.checkpoint_every == 0
             || round < self.last_checkpoint + self.cfg.checkpoint_every
         {
@@ -666,7 +658,7 @@ impl Wal {
     /// Writes a checkpoint of `engine` at `round` (temp file + fsync +
     /// rename, so the previous checkpoint survives any crash), then
     /// truncates segments and checkpoints the new one supersedes.
-    pub fn checkpoint<E: CommitEngine>(&mut self, round: u64, engine: &E) -> io::Result<()> {
+    pub fn checkpoint(&mut self, round: u64, engine: &Engine) -> io::Result<()> {
         // The log must be on disk through `round` before the checkpoint that
         // claims it: otherwise a crash between rename and sync could leave a
         // checkpoint ahead of its own log.

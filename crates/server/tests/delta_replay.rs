@@ -172,16 +172,15 @@ fn recorded_delta_stream_refolds_every_published_snapshot() {
     );
 }
 
-/// The sharded tentpole's serving-layer acceptance sweep: a server driven by
-/// the vertex-partitioned engine at S ∈ {1, 2, 3, 7} publishes byte-identical
-/// snapshots, emits a byte-identical recorded delta stream, and writes
-/// byte-identical WAL files (round records *and* checkpoints) compared to the
-/// single-arena engine over the same committed rounds. One sequential writer
-/// pins the round boundaries: each submit blocks until its round commits, so
-/// round k holds exactly call k's updates in every run.
+/// The serving layer's only whole-WAL-directory byte check: two servers fed
+/// the same single-writer stream publish byte-identical snapshots, emit a
+/// byte-identical wire delta stream, report the same stats counters, and
+/// leave byte-identical WAL directories (round records *and* checkpoints).
+/// One sequential writer pins the round boundaries: each submit blocks until
+/// its round commits, so round k holds exactly call k's updates in every run.
 #[test]
-fn sharded_server_rounds_match_single_engine_byte_for_byte() {
-    use greedy_engine::prelude::{ServerSnapshot, ShardedEngine};
+fn server_rounds_and_wal_bytes_repeat_byte_for_byte() {
+    use greedy_engine::prelude::ServerSnapshot;
     use greedy_server::wal::{FsyncPolicy, WalConfig};
 
     let base = random_graph(1_200, 3_500, 53);
@@ -200,22 +199,19 @@ fn sharded_server_rounds_match_single_engine_byte_for_byte() {
         }),
         ..ServerConfig::default()
     };
-    let scratch = |shards: usize| {
+    // Drives one fresh server through 10 deterministic single-writer rounds
+    // and returns (per-round published snapshots, wire delta stream, final
+    // stats reply without its latency percentiles, WAL directory bytes keyed
+    // by file name).
+    type WalFiles = Vec<(String, Vec<u8>)>;
+    let run = |run_id: usize| -> (Vec<ServerSnapshot>, Vec<DeltaFrame>, StatsReply, WalFiles) {
         let dir = std::env::temp_dir().join(format!(
-            "greedy_shard_sweep_s{}_{}",
-            shards,
+            "greedy_repeat_run{}_{}",
+            run_id,
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
-    // Drives one server through 10 deterministic single-writer rounds and
-    // returns (per-round published snapshots, wire delta stream, final
-    // stats reply, WAL directory bytes keyed by file name).
-    type WalFiles = Vec<(String, Vec<u8>)>;
-    let run = |handle: ServerHandle<ShardedEngine>,
-               dir: std::path::PathBuf|
-     -> (Vec<ServerSnapshot>, Vec<DeltaFrame>, StatsReply, WalFiles) {
+        let handle = serve(Engine::from_graph(&base, 31), config(dir.clone())).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
         for round in 1..=10u64 {
             let mut inserts = Vec::new();
@@ -235,7 +231,13 @@ fn sharded_server_rounds_match_single_engine_byte_for_byte() {
             client.insert_edges(&inserts).unwrap();
             client.delete_edges(&deletes).unwrap();
         }
-        let stats = client.stats().unwrap();
+        // Commit latency is wall-clock: everything else in the reply is a
+        // counter and must repeat.
+        let stats = StatsReply {
+            commit_p50_us: 0,
+            commit_p99_us: 0,
+            ..client.stats().unwrap()
+        };
         drop(client);
         let report = handle.shutdown();
         let snapshots: Vec<ServerSnapshot> = report
@@ -259,68 +261,19 @@ fn sharded_server_rounds_match_single_engine_byte_for_byte() {
         (snapshots, deltas, stats, files)
     };
 
-    let ref_dir = scratch(1);
-    let handle = serve(
-        ShardedEngine::from_graph(&base, 31, 1),
-        config(ref_dir.clone()),
-    )
-    .unwrap();
-    let (ref_snapshots, ref_deltas, ref_stats, ref_files) = run(handle, ref_dir);
+    let (ref_snapshots, ref_deltas, ref_stats, ref_files) = run(0);
     assert_eq!(ref_snapshots.len(), 20, "one round per client call");
-    assert_eq!(ref_stats.shards, 1);
-    // One shard owns every update, so the high-water mark is the largest
-    // sub-batch a round ever staged — the 40-insert calls.
-    assert_eq!(ref_stats.max_shard_staged, 40);
+    assert_eq!(ref_stats.round, 20);
     assert!(
         ref_files.iter().any(|(n, _)| n.contains("checkpoint")),
         "the cadence must have written a mid-stream checkpoint"
     );
 
-    for shards in [2usize, 3, 7] {
-        let dir = scratch(shards);
-        let handle = serve(
-            ShardedEngine::from_graph(&base, 31, shards),
-            config(dir.clone()),
-        )
-        .unwrap();
-        let (snapshots, deltas, stats, files) = run(handle, dir);
-        assert_eq!(
-            snapshots, ref_snapshots,
-            "published snapshots changed with {shards} shards"
-        );
-        assert_eq!(
-            deltas, ref_deltas,
-            "recorded delta stream changed with {shards} shards"
-        );
-        assert_eq!(files, ref_files, "WAL bytes changed with {shards} shards");
-        assert_eq!(stats.shards, shards as u64, "stats must report the layout");
-        assert!(
-            stats.max_shard_staged > 0 && stats.max_shard_staged <= 40,
-            "per-shard staging high-water mark out of range: {}",
-            stats.max_shard_staged
-        );
-        // The snapshot-derived counters ride the same wire block and must be
-        // S-independent.
-        assert_eq!(
-            (
-                stats.round,
-                stats.num_edges,
-                stats.mis_size,
-                stats.matching_size,
-                stats.edges_inserted,
-                stats.edges_deleted
-            ),
-            (
-                ref_stats.round,
-                ref_stats.num_edges,
-                ref_stats.mis_size,
-                ref_stats.matching_size,
-                ref_stats.edges_inserted,
-                ref_stats.edges_deleted
-            ),
-            "snapshot counters changed with {shards} shards"
-        );
-    }
+    let (snapshots, deltas, stats, files) = run(1);
+    assert_eq!(snapshots, ref_snapshots, "published snapshots changed");
+    assert_eq!(deltas, ref_deltas, "recorded delta stream changed");
+    assert_eq!(stats, ref_stats, "stats counters changed");
+    assert_eq!(files, ref_files, "WAL directory bytes changed");
 }
 
 /// End-to-end over the socket: a push subscriber's reconstructed state is

@@ -173,7 +173,7 @@ fn engine_internals_and_journal_ride_the_exposition() {
         // that one must be journalled with its trigger.
         assert!(text.contains("# event_journal retained="));
         assert!(text.contains("# event seq="));
-        assert!(text.contains("arena_rebuild shard=0 reason=insert_overflow"));
+        assert!(text.contains("arena_rebuild reason=insert_overflow"));
         let journal_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# event")).collect();
         assert!(!journal_lines.is_empty());
         // Everything non-metric in the exposition is comment-prefixed.

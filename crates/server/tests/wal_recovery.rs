@@ -257,58 +257,6 @@ fn server_restart_resumes_rounds_and_state_from_the_log() {
 }
 
 #[test]
-fn sharded_server_recovers_a_single_engine_log_and_continues() {
-    use greedy_engine::prelude::ShardedEngine;
-
-    // Cross-engine recovery: a log written by the single-arena engine is
-    // picked up by a 3-shard server (recovery rebuilds the one-arena state;
-    // the sharded engine re-partitions it — sound because the greedy fixed
-    // point is unique given the recovered edges + seed), and vice versa a
-    // sharded life's log restarts under the single-arena engine. The state,
-    // round numbering, and subsequent commits carry straight through.
-    let dir = scratch("sharded_restart");
-    let config = ServerConfig {
-        wal: Some(WalConfig {
-            fsync: FsyncPolicy::PerRound,
-            ..WalConfig::durable(dir.clone())
-        }),
-        ..ServerConfig::default()
-    };
-
-    let handle = serve(Engine::new(60, 4), config.clone()).expect("serve");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .insert_edges(&[(1, 2), (3, 4), (2, 3)])
-        .expect("insert");
-    client.delete_edges(&[(3, 4)]).expect("delete");
-    let report = handle.shutdown();
-    let first_life = report.engine.server_snapshot();
-    let first_round = 2;
-
-    // Second life: sharded. The engine argument's own state is a decoy.
-    let handle = serve(ShardedEngine::new(60, 4, 3), config.clone()).expect("re-serve sharded");
-    assert_eq!(handle.committed_round(), first_round);
-    assert_eq!(handle.snapshot().state, first_life);
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let delta = client.insert_edges(&[(7, 8), (40, 41)]).expect("insert");
-    assert_eq!(delta.round, first_round + 1, "round ids must not restart");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.shards, 3);
-    let report = handle.shutdown();
-    assert_eq!(report.engine.shard_count(), 3);
-    let second_life = report.engine.server_snapshot();
-
-    // Third life: back to the single-arena engine, reading the sharded
-    // life's log (same record format — the sweep test proves same bytes).
-    let handle = serve(Engine::new(60, 4), config).expect("re-serve single");
-    assert_eq!(handle.committed_round(), first_round + 1);
-    assert_eq!(handle.snapshot().state, second_life);
-    let report = handle.shutdown();
-    assert_eq!(report.engine.num_edges(), 4); // {1,2} {2,3} {7,8} {40,41}
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn durable_lag_is_nonzero_under_group_commit_and_zero_per_round() {
     // Group commit fsyncs every 3rd round: after exactly one committed
     // round nothing is synced yet, so the disk verifiably trails the ack.

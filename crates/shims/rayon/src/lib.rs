@@ -68,58 +68,13 @@ pub fn current_num_threads() -> usize {
 /// dominates any parallel win.
 const MIN_PART: usize = 256;
 
-thread_local! {
-    /// Grain override installed by [`with_min_part_len`], if any. Inherited
-    /// by the scoped workers a terminal spawns, so nested parallel calls see
-    /// the same grain the caller installed.
-    static MIN_PART_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The grain in effect on this thread: the innermost [`with_min_part_len`]
-/// override, or the default [`MIN_PART`].
-fn min_part() -> usize {
-    MIN_PART_OVERRIDE
-        .with(|c| c.get())
-        .unwrap_or(MIN_PART)
-        .max(1)
-}
-
-/// Runs `f` with the splitting grain lowered (or raised) to `min`: sources
-/// created inside split as soon as they hold more than `min` elements,
-/// instead of the default 256.
-///
-/// The default grain is tuned for *per-element* work, where splitting an
-/// 8-element collection costs more than it saves. A **coarse** fan-out — a
-/// handful of items that each carry milliseconds of work, like the sharded
-/// engine's per-shard drive — is the opposite regime: under the default
-/// grain `par_iter` hands all S items to one part and the loop runs
-/// serially. `with_min_part_len(1, ..)` is the `with_min_len`-style escape
-/// hatch (rayon proper hangs the knob off `IndexedParallelIterator`; the
-/// shim splits eagerly at source construction, so the override is scoped
-/// around the construction instead).
-///
-/// The override is restored on exit (including unwinds) and is inherited by
-/// worker threads, so nested parallel calls under a worker see the same
-/// grain.
-pub fn with_min_part_len<R>(min: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MIN_PART_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MIN_PART_OVERRIDE.with(|c| c.replace(Some(min.max(1)))));
-    f()
-}
-
 /// How many parts to split a source of `len` items into.
 fn split_count(len: usize) -> usize {
     let threads = current_num_threads();
-    let grain = min_part();
-    if threads <= 1 || len <= grain {
+    if threads <= 1 || len <= MIN_PART {
         return 1;
     }
-    (threads * 4).min(len.div_ceil(grain)).max(1)
+    (threads * 4).min(len.div_ceil(MIN_PART)).max(1)
 }
 
 /// Consumes each part with `f` on a scoped worker pool and returns the
@@ -136,7 +91,6 @@ where
         return parts.into_iter().map(f).collect();
     }
     let inherited = POOL_THREADS.with(|c| c.get());
-    let inherited_grain = MIN_PART_OVERRIDE.with(|c| c.get());
     let n = parts.len();
     let slots: Vec<Mutex<Option<I>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -147,7 +101,6 @@ where
             for _ in 0..threads {
                 scope.spawn(move || {
                     POOL_THREADS.with(|c| c.set(inherited));
-                    MIN_PART_OVERRIDE.with(|c| c.set(inherited_grain));
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
@@ -907,46 +860,6 @@ mod tests {
         assert_eq!(s, vec![11, 22, 33, 44]);
         let e: Vec<(usize, u32)> = b.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
         assert_eq!(e, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
-    }
-
-    #[test]
-    fn with_min_part_len_splits_a_tiny_fanout() {
-        // Regression for the coarse-grain footgun: under the default
-        // 256-element grain an 8-element fan-out is a single part and runs
-        // entirely on the calling thread, serializing per-shard work that
-        // each carries milliseconds. With the grain overridden to 1 the
-        // same fan-out must actually distribute across the pool.
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| {
-                with_min_part_len(1, || {
-                    (0..8usize).into_par_iter().for_each(|_| {
-                        seen.lock().unwrap().insert(std::thread::current().id());
-                        // Coarse enough for the other workers to grab a part
-                        // before the first thread drains the queue.
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    })
-                })
-            });
-        assert!(
-            seen.lock().unwrap().len() >= 2,
-            "8-element fan-out under with_min_part_len(1) ran on one thread"
-        );
-    }
-
-    #[test]
-    fn with_min_part_len_restores_default_grain() {
-        let parts_under = with_min_part_len(1, || (0..8usize).into_par_iter().parts.len());
-        let parts_after = (0..8usize).into_par_iter().parts.len();
-        if current_num_threads() > 1 {
-            assert!(parts_under > 1, "override must split an 8-element source");
-        }
-        assert_eq!(parts_after, 1, "default grain must be restored on exit");
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub mod prelude {
     pub use greedy_core::ordering::{random_edge_permutation, random_permutation};
     pub use greedy_core::stats::WorkStats;
     pub use greedy_engine::prelude::{
-        BatchReport, CommitEngine, DynGraph, EdgeBatch, Engine, EngineStats, ServerSnapshot,
-        ShardedEngine, Snapshot,
+        BatchReport, DynGraph, EdgeBatch, Engine, EngineStats, ServerSnapshot, Snapshot,
     };
     pub use greedy_graph::csr::Graph;
     pub use greedy_graph::edge_list::EdgeList;

@@ -374,141 +374,6 @@ fn delta_stream_folds_identically_at_every_thread_count() {
 }
 
 #[test]
-fn sharded_engine_state_is_byte_identical_across_shard_counts() {
-    use greedy_prims::random::hash64;
-    use greedy_server::prelude::FullDelta;
-
-    // The tentpole's acceptance sweep: replay one update stream through the
-    // single-arena engine and through the vertex-partitioned engine at
-    // S ∈ {2, 3, 7}. The published snapshots (graph arrays, MIS bitset,
-    // partner array) and the per-round wire delta frames must be
-    // byte-identical for every shard count — the greedy fixed point is
-    // unique, so partitioning must be invisible in every observable.
-    // (EngineStats redecision counters are deliberately *not* compared:
-    // cross-shard exchange legitimately re-examines boundary items, so the
-    // amount of repair work is S-dependent even though its outcome is not.)
-    let base = random_graph(2_000, 6_000, 29);
-    let stream: Vec<EdgeBatch> = {
-        // Batch construction reads the evolving reference engine so deletes
-        // hit present (often matched) edges; the stream itself is then fixed
-        // and replayed verbatim through every sharded run.
-        let mut engine = Engine::from_graph(&base, 13);
-        (1..=6u64)
-            .map(|round| {
-                let mut batch = EdgeBatch::new();
-                for i in 0..60 {
-                    batch.insert(
-                        (hash64(61, round * 200 + 2 * i) % 2_000) as u32,
-                        (hash64(61, round * 200 + 2 * i + 1) % 2_000) as u32,
-                    );
-                }
-                for i in 0..20u64 {
-                    let matched = engine.matching();
-                    if !matched.is_empty() {
-                        let e =
-                            matched[(hash64(62, round * 200 + i) % matched.len() as u64) as usize];
-                        batch.delete(e.u, e.v);
-                    }
-                }
-                engine.apply_batch(&batch);
-                batch
-            })
-            .collect()
-    };
-
-    let mut reference = Engine::from_graph(&base, 13);
-    let ref_frames: Vec<_> = stream
-        .iter()
-        .enumerate()
-        .map(|(i, batch)| {
-            let report = reference.apply_batch(batch);
-            FullDelta::from_report(i as u64 + 1, &report).to_wire()
-        })
-        .collect();
-    assert!(
-        ref_frames
-            .iter()
-            .any(|f| !f.mis_flips.is_empty() && !f.match_flips.is_empty()),
-        "the stream never flipped anything — the test is vacuous"
-    );
-    let ref_snapshot = reference.server_snapshot();
-    let ref_edges = reference.graph().to_edge_list();
-
-    for shards in [1usize, 2, 3, 7] {
-        let mut engine = ShardedEngine::from_graph(&base, 13, shards);
-        let frames: Vec<_> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, batch)| {
-                let report = engine.apply_batch(batch);
-                FullDelta::from_report(i as u64 + 1, &report).to_wire()
-            })
-            .collect();
-        assert_eq!(
-            frames, ref_frames,
-            "wire delta frames changed with {shards} shards"
-        );
-        assert_eq!(
-            engine.server_snapshot(),
-            ref_snapshot,
-            "published snapshot changed with {shards} shards"
-        );
-        assert_eq!(
-            engine.edge_list(),
-            ref_edges,
-            "merged edge list changed with {shards} shards"
-        );
-        // Effective-change counters must agree; redecision counters may not.
-        let (s, r) = (engine.stats(), reference.stats());
-        assert_eq!(
-            (s.batches, s.edges_inserted, s.edges_deleted),
-            (r.batches, r.edges_inserted, r.edges_deleted),
-            "effective-change counters changed with {shards} shards"
-        );
-    }
-}
-
-#[test]
-fn sharded_engine_is_thread_count_independent() {
-    use greedy_prims::random::hash64;
-
-    // Internal determinism must also hold *within* a shard count: the S = 3
-    // run is byte-identical at every pool size (the per-shard parallel phase
-    // and the bounded exchange rounds are schedule-independent).
-    let base = random_graph(1_500, 5_000, 37);
-    let run = |threads: usize| {
-        in_pool(threads, || {
-            let mut engine = ShardedEngine::from_graph(&base, 17, 3);
-            let reports: Vec<BatchReport> = (1..=5u64)
-                .map(|round| {
-                    let mut batch = EdgeBatch::new();
-                    for i in 0..50 {
-                        batch.insert(
-                            (hash64(63, round * 100 + 2 * i) % 1_500) as u32,
-                            (hash64(63, round * 100 + 2 * i + 1) % 1_500) as u32,
-                        );
-                    }
-                    engine.apply_batch(&batch)
-                })
-                .collect();
-            (engine.server_snapshot(), reports)
-        })
-    };
-    let reference = run(1);
-    for threads in sweep_threads() {
-        let result = run(threads);
-        assert_eq!(
-            result.0, reference.0,
-            "sharded snapshot changed with {threads} threads"
-        );
-        assert_eq!(
-            result.1, reference.1,
-            "sharded batch reports changed with {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn spanning_forest_is_prefix_and_thread_independent() {
     let edges = random_graph(2_000, 6_000, 13).to_edge_list();
     let pi = random_edge_permutation(edges.num_edges(), 14);
