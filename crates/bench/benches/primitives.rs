@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the parallel primitives substrate:
 //! prefix sums, packing, random permutations, the sorting subsystem
-//! (parallel radix sort vs the shim's sample sort vs std), and the
+//! (parallel radix sort vs std), and the
 //! edge-list → CSR build that rides on it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -13,7 +13,6 @@ use greedy_prims::permutation::{par_random_permutation, random_permutation};
 use greedy_prims::random::hash64;
 use greedy_prims::scan::{exclusive_scan, par_exclusive_scan};
 use greedy_prims::sort::{counting_sort_by_key, sort_by_key_parallel};
-use rayon::prelude::*;
 
 const N: usize = 1_000_000;
 
@@ -82,13 +81,6 @@ fn bench_sort_subsystem(c: &mut Criterion) {
         b.iter(|| {
             let mut v = black_box(&pairs).clone();
             sort_by_key_parallel(&mut v, |&(k, _)| k);
-            v
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("sample_sort_shim"), |b| {
-        b.iter(|| {
-            let mut v = black_box(&pairs).clone();
-            v.par_sort_by_key(|&(k, _)| k);
             v
         })
     });

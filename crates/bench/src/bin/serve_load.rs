@@ -42,18 +42,14 @@
 //! wal / publish / feed), the repair-rounds histogram with the paper's
 //! `log2(n)^2` depth bound for comparison, and validates that every metric
 //! that cannot be zero after the load (committed rounds, query samples,
-//! WAL appends when serving durably, and the merged engine internals —
+//! WAL appends when serving durably, and the engine internals —
 //! rebuilds observed, arena occupancy, repair work) is in fact nonzero —
 //! exiting nonzero otherwise. It also requests a `Trace` frame over the
 //! live socket and requires its body to be byte-identical to
 //! `encode_round_traces` over the in-process flight recorder, and dumps
 //! the structured event journal to `results/events_quick.txt` (CI uploads
-//! it next to the metrics dump).
-//! The full exposition is dumped to `results/metrics_quick.txt`
-//! and `server_obs_{on,off}_rounds_per_s` + `server_obs_overhead_pct` rows
-//! (registry enabled vs disabled, same load) are merged into
-//! `results/BENCH_quick.json`. Build with `--features obs-off` to compare
-//! against recording compiled out entirely rather than switched off.
+//! it next to the metrics dump). The full exposition is dumped to
+//! `results/metrics_quick.txt`.
 //!
 //! `--crash-recover` runs a different job entirely: it spawns this binary
 //! as a child that serves over a write-ahead log and `abort()`s mid-stream,
@@ -123,9 +119,8 @@ struct LoadConfig {
     wal_bench: bool,
     /// Server-side observability report: byte-compare the TCP and in-process
     /// expositions, print per-stage commit percentiles and the repair-rounds
-    /// vs `log2(n)^2` check, validate zero-where-impossible metrics, dump
-    /// the exposition to `results/metrics_quick.txt`, and measure the
-    /// registry's overhead (`server_obs_*` rows).
+    /// vs `log2(n)^2` check, validate zero-where-impossible metrics, and dump
+    /// the exposition to `results/metrics_quick.txt`.
     metrics_report: bool,
 }
 
@@ -331,9 +326,7 @@ fn run_load(engine: Engine, base: &Graph, cfg: &LoadConfig) {
     // Readers: batched membership queries against the published snapshot,
     // individually timed into one shared lock-free histogram — constant
     // memory however long the run, and the percentiles come from the full
-    // sample population instead of a sorted sample vector. (Built with
-    // `--features obs-off` the histogram is compiled out and the latency
-    // rows read 0 — that build exists to measure the no-recording baseline.)
+    // sample population instead of a sorted sample vector.
     let query_hist = Arc::new(Histogram::new());
     let readers: Vec<_> = (0..cfg.readers)
         .map(|r| {
@@ -665,21 +658,6 @@ fn run_load(engine: Engine, base: &Graph, cfg: &LoadConfig) {
             wal_rows.len()
         );
     }
-
-    if cfg.metrics_report {
-        let obs_rows = obs_overhead_bench(cfg.seed);
-        merge_quick_entries(
-            Path::new("results/BENCH_quick.json"),
-            cfg.seed,
-            &["server_obs_"],
-            "server_obs",
-            &obs_rows,
-        );
-        eprintln!(
-            "   merged {} server_obs_* entries into results/BENCH_quick.json",
-            obs_rows.len()
-        );
-    }
 }
 
 /// The `--metrics` report against the still-running (but quiesced) server:
@@ -717,8 +695,7 @@ fn metrics_report(handle: &ServerHandle, addr: std::net::SocketAddr, cfg: &LoadC
 
     // Acceptance check 2: a `Trace` frame over real TCP must carry exactly
     // `encode_round_traces` over the in-process flight recorder — one
-    // canonical encoder, zero drift between the wire and the handle. (Under
-    // obs-off both sides are the empty encoding, so the check still holds.)
+    // canonical encoder, zero drift between the wire and the handle.
     let mut raw = TcpStream::connect(addr).expect("trace connect");
     raw.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("trace timeout");
@@ -746,21 +723,10 @@ fn metrics_report(handle: &ServerHandle, addr: std::net::SocketAddr, cfg: &LoadC
 
     // Event-journal dump. The journal also rides the exposition above; the
     // standalone file is what CI uploads next to metrics_quick.txt.
+    let metrics = handle.metrics().expect("every server keeps a registry");
     let events = Path::new("results/events_quick.txt");
-    let journal = handle
-        .metrics()
-        .map(|m| m.journal().render_text())
-        .unwrap_or_else(|| String::from("# event_journal disabled\n"));
-    std::fs::write(events, &journal).expect("write events dump");
+    std::fs::write(events, metrics.journal().render_text()).expect("write events dump");
     eprintln!("   event journal dumped to {}", events.display());
-
-    if !greedy_obs::ENABLED {
-        eprintln!("   (recording compiled out via obs-off; skipping content checks)");
-        return;
-    }
-    let metrics = handle
-        .metrics()
-        .expect("--metrics needs the server registry enabled");
 
     // Per-stage commit-latency percentile table, one row per pipeline stage.
     let registry = metrics.registry();
@@ -853,7 +819,7 @@ fn metrics_report(handle: &ServerHandle, addr: std::net::SocketAddr, cfg: &LoadC
     if cfg.data_dir.is_some() {
         require("server_wal_appends_total", "rounds were logged to the WAL");
     }
-    // Engine internals, merged into the same exposition: after real traffic
+    // Engine internals, in the same registry: after real traffic
     // the arena must exist, hold live vertices, have been built at least
     // once, and repair must have run every round.
     require("engine_rebuilds_total", "the arena was built at least once");
@@ -877,73 +843,6 @@ fn metrics_report(handle: &ServerHandle, addr: std::net::SocketAddr, cfg: &LoadC
         }
         std::process::exit(1);
     }
-}
-
-/// What does keeping the registry cost? The same single-writer load served
-/// twice — once with metrics on, once off — reporting committed rounds/s
-/// for each and the relative gap. Recording is a handful of relaxed atomics
-/// per round, so the gap should be noise; the row exists so a regression
-/// that makes it real is visible in the trajectory. (Build with `--features
-/// obs-off` to compare against recording compiled out rather than switched
-/// off at runtime.)
-fn obs_overhead_bench(seed: u64) -> Vec<String> {
-    const N: usize = 10_000;
-    const M: usize = 40_000;
-    let run = |metrics: bool| -> f64 {
-        let base = random_graph(N, M, seed ^ 0x0B5);
-        let handle = serve(
-            Engine::from_graph(&base, seed),
-            ServerConfig {
-                metrics,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("obs bench serve");
-        let mut client = Client::connect(handle.addr()).expect("obs bench connect");
-        let mut prev: Vec<(u32, u32)> = Vec::new();
-        let mut k = 0u64;
-        let started = Instant::now();
-        while started.elapsed() < Duration::from_millis(700) {
-            if !prev.is_empty() && k % 2 == 1 {
-                let batch = std::mem::take(&mut prev);
-                client.delete_edges(&batch).expect("obs bench delete");
-            } else {
-                let fresh: Vec<(u32, u32)> = (0..64u64)
-                    .map(|i| {
-                        let key = k * 64 + i;
-                        (
-                            (hash64(seed ^ 0x0B50, 2 * key) % N as u64) as u32,
-                            (hash64(seed ^ 0x0B50, 2 * key + 1) % N as u64) as u32,
-                        )
-                    })
-                    .collect();
-                client.insert_edges(&fresh).expect("obs bench insert");
-                prev = fresh;
-            }
-            k += 1;
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        let report = handle.shutdown();
-        report.engine.stats().batches as f64 / elapsed
-    };
-    let on_rps = run(true);
-    let off_rps = run(false);
-    let overhead_pct = (1.0 - on_rps / off_rps.max(1e-9)) * 100.0;
-    eprintln!(
-        "   obs overhead       registry on {on_rps:.0} rounds/s vs off {off_rps:.0} rounds/s \
-         ({overhead_pct:+.1}%)"
-    );
-    if overhead_pct > 10.0 {
-        // Warning only: a 700 ms A/B on a loaded CI box is too noisy for a
-        // hard gate, but the trajectory row makes a persistent regression
-        // visible.
-        eprintln!("   WARNING: metrics overhead above 10% — check the trajectory");
-    }
-    vec![
-        quick_row("server_obs_on_rounds_per_s", 1, N, M, on_rps, "rounds/s"),
-        quick_row("server_obs_off_rounds_per_s", 1, N, M, off_rps, "rounds/s"),
-        quick_row("server_obs_overhead_pct", 1, N, M, overhead_pct, "%"),
-    ]
 }
 
 /// WAL commit-cost microbenchmark: the same single-writer load served twice

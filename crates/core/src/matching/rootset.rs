@@ -117,7 +117,7 @@ pub fn rootset_matching_with_stats(edges: &EdgeList, pi: &Permutation) -> (Vec<u
     // Initial ready set: check every vertex once. A ready edge is discovered
     // from both of its endpoints, so deduplicate.
     let mut ready: Vec<u32> = (0..n as u32).into_par_iter().filter_map(mm_check).collect();
-    ready.par_sort_unstable();
+    sort_by_key_parallel(&mut ready, |&e| e as u64);
     ready.dedup();
     stats.vertex_work += n as u64;
 
@@ -168,7 +168,7 @@ pub fn rootset_matching_with_stats(edges: &EdgeList, pi: &Permutation) -> (Vec<u
         // form the next step's set (deduplicated, since both endpoints of a
         // newly ready edge may be candidates).
         let mut next_ready: Vec<u32> = candidates.par_iter().filter_map(|&v| mm_check(v)).collect();
-        next_ready.par_sort_unstable();
+        sort_by_key_parallel(&mut next_ready, |&e| e as u64);
         next_ready.dedup();
         stats.vertex_work += candidates.len() as u64;
 

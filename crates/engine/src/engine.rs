@@ -236,8 +236,8 @@ impl Engine {
     /// relocation counters (per [`crate::dyn_graph::RebuildTrigger`]), and
     /// repair-work histograms are recorded after every
     /// [`Engine::apply_batch`]; arena rebuilds/relocations additionally feed
-    /// the metrics' event journal as they happen. The caller keeps a clone of
-    /// `metrics` for exposition — the instruments are shared through `Arc`s.
+    /// the metrics' event journal as they happen. The caller reads the
+    /// instruments through the registry it built `metrics` over.
     pub fn attach_metrics(&mut self, metrics: EngineMetrics) {
         self.graph.attach_journal(metrics.journal().clone());
         self.metrics = Some(metrics);

@@ -10,11 +10,11 @@
 //! becomes histogram samples — so the server's exposition shows the engine's
 //! internals next to its own commit pipeline.
 //!
-//! Everything is registered up front in [`EngineMetrics::new`], mirroring
-//! the server registry's policy: a metric that was never recorded renders as
-//! zero instead of silently disappearing, which is what lets the bench
-//! harness hard-fail on impossible values. Building with `obs-off` compiles
-//! every recording into a no-op.
+//! Everything is registered up front in [`EngineMetrics::new`], in the
+//! registry the caller hands it (the server's own), mirroring that
+//! registry's policy: a metric that was never recorded renders as zero
+//! instead of silently disappearing, which is what lets the bench harness
+//! hard-fail on impossible values.
 
 use std::sync::Arc;
 
@@ -26,15 +26,15 @@ use crate::dyn_graph::{DynGraph, RebuildTrigger};
 /// Registry-backed instruments over the engine's internals, recorded once
 /// per applied batch (see [`Engine::attach_metrics`]).
 ///
-/// Cloning shares the instruments (they are `Arc`s): the server keeps one
-/// clone for exposition and hands the other to the engine. The
-/// cumulative-to-delta bookkeeping is per-clone, so exactly one clone — the
-/// attached one — must do the recording.
+/// Cloning shares the instruments (they are `Arc`s): the server builds one
+/// at startup, so every name is registered before the engine exists, and
+/// hands a clone to the engine. The cumulative-to-delta bookkeeping is
+/// per-clone, so exactly one clone — the attached one — must do the
+/// recording.
 ///
 /// [`Engine::attach_metrics`]: crate::engine::Engine::attach_metrics
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
-    registry: Arc<Registry>,
     journal: Arc<EventJournal>,
     arena_capacity: Arc<Gauge>,
     arena_live: Arc<Gauge>,
@@ -63,20 +63,13 @@ pub fn rebuild_counter_name(trigger: RebuildTrigger) -> String {
     format!("engine_rebuilds_{}_total", trigger.label())
 }
 
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        Self::new(Arc::new(EventJournal::default()))
-    }
-}
-
 impl EngineMetrics {
-    /// Instruments over a fresh registry, feeding rare structural events
-    /// (arena rebuilds/relocations) into `journal`. Pass the server's shared
-    /// journal so engine events interleave with WAL and feed events in
+    /// Instruments registered in `r`, feeding rare structural events (arena
+    /// rebuilds/relocations) into `journal`. Pass the server's registry and
+    /// shared journal, so the `engine_*` names render in the server's one
+    /// exposition and engine events interleave with WAL and feed events in
     /// timestamp order.
-    pub fn new(journal: Arc<EventJournal>) -> Self {
-        let registry = Arc::new(Registry::new());
-        let r = &registry;
+    pub fn new(r: &Registry, journal: Arc<EventJournal>) -> Self {
         Self {
             arena_capacity: r.gauge("engine_arena_capacity"),
             arena_live: r.gauge("engine_arena_live"),
@@ -91,18 +84,11 @@ impl EngineMetrics {
             mis_repair_frontier: r.histogram("engine_mis_repair_frontier"),
             matching_repair_work: r.histogram("engine_matching_repair_work"),
             matching_repair_frontier: r.histogram("engine_matching_repair_frontier"),
-            registry,
             journal,
             seen_rebuilds: 0,
             seen_rebuilds_by: [0; 4],
             seen_relocations: 0,
         }
-    }
-
-    /// The registry holding every engine instrument. The server merges it
-    /// into its own exposition with [`Registry::merge`].
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 
     /// The event journal structural events feed into.
@@ -121,9 +107,6 @@ impl EngineMetrics {
         mis: &RepairStats,
         matching: &RepairStats,
     ) {
-        if !greedy_obs::ENABLED {
-            return;
-        }
         let capacity = graph.arena_capacity() as i64;
         let live = 2 * graph.num_edges() as i64;
         let dead = graph.dead_entries() as i64;
@@ -160,9 +143,17 @@ mod tests {
     use crate::engine::{EdgeBatch, Engine};
     use greedy_graph::gen::random::random_graph;
 
+    /// Instruments over a fresh registry, with that registry for reads.
+    fn fresh() -> (Registry, EngineMetrics) {
+        let registry = Registry::new();
+        let metrics = EngineMetrics::new(&registry, Arc::new(EventJournal::default()));
+        (registry, metrics)
+    }
+
     #[test]
     fn every_engine_metric_is_registered_up_front() {
-        let names = EngineMetrics::default().registry().names();
+        let (registry, _metrics) = fresh();
+        let names = registry.names();
         let mut required = vec![
             "engine_arena_capacity".to_string(),
             "engine_arena_live".to_string(),
@@ -186,18 +177,12 @@ mod tests {
     #[test]
     fn attached_engine_records_internals() {
         let mut engine = Engine::from_graph(&random_graph(300, 1_200, 3), 7);
-        let metrics = EngineMetrics::default();
-        let shared = metrics.clone();
+        let (r, metrics) = fresh();
         engine.attach_metrics(metrics);
         engine.apply_batch(&EdgeBatch::from_pairs(
             [(0, 299), (1, 298), (2, 297)],
             [(0, 299)],
         ));
-        if !greedy_obs::ENABLED {
-            assert_eq!(shared.registry().counter("engine_rebuilds_total").get(), 0);
-            return;
-        }
-        let r = shared.registry();
         assert!(
             r.counter("engine_rebuilds_total").get() >= 1,
             "the first record must pick up the initial bulk build"
@@ -225,17 +210,13 @@ mod tests {
     #[test]
     fn repeated_batches_do_not_double_count_structural_history() {
         let mut engine = Engine::from_graph(&random_graph(100, 400, 5), 9);
-        let metrics = EngineMetrics::default();
-        let shared = metrics.clone();
+        let (r, metrics) = fresh();
         engine.attach_metrics(metrics);
         engine.apply_batch(&EdgeBatch::from_pairs([(0, 99)], []));
-        let after_first = shared.registry().counter("engine_rebuilds_total").get();
+        let after_first = r.counter("engine_rebuilds_total").get();
         // An empty batch performs no structural work; the cumulative-to-delta
         // conversion must not re-add the history.
         engine.apply_batch(&EdgeBatch::new());
-        assert_eq!(
-            shared.registry().counter("engine_rebuilds_total").get(),
-            after_first
-        );
+        assert_eq!(r.counter("engine_rebuilds_total").get(), after_first);
     }
 }

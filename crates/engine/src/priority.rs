@@ -10,10 +10,9 @@
 //! priorities from the stateless hash [`hash64`] instead:
 //!
 //! * vertex `v` gets `(hash64(seed, v), v)` — exactly the key order
-//!   [`par_random_permutation`](greedy_prims::permutation::par_random_permutation)
-//!   sorts by, so the engine's order *is* the order `random_permutation(n,
-//!   seed)` encodes, and a from-scratch oracle can be built with the
-//!   workspace's existing algorithms;
+//!   [`par_random_permutation`] sorts by, so the engine's order *is* the
+//!   order `random_permutation(n, seed)` encodes, and a from-scratch oracle
+//!   can be built with the workspace's existing algorithms;
 //! * edge `{u, v}` gets `(hash64(seed ⊕ SALT, key), key)` for the canonical
 //!   packed key `u << 32 | v` — independent of when (or whether) the edge is
 //!   currently present.

@@ -76,9 +76,6 @@ impl Histogram {
 
     /// Records one sample. Lock-free: four relaxed atomic RMWs.
     pub fn record(&self, v: u64) {
-        if !crate::ENABLED {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -89,33 +86,6 @@ impl Histogram {
     /// Records a `Duration` in whole microseconds.
     pub fn record_duration_us(&self, d: std::time::Duration) {
         self.record(d.as_micros() as u64);
-    }
-
-    /// Folds `other`'s recorded samples into this histogram, bucket-wise:
-    /// every bucket count is added, `count`/`sum` are added, and `max`/`min`
-    /// are widened. Because every [`Histogram`] shares the same fixed bucket
-    /// layout, the merged histogram is exactly what recording both sample
-    /// streams into one instrument would have produced — the primitive
-    /// behind [`crate::Registry::merge`].
-    ///
-    /// Reads `other` with relaxed loads: exact once its recording threads are
-    /// quiesced, may miss a few in-flight samples otherwise (never corrupts).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
-            let c = src.load(Ordering::Relaxed);
-            if c > 0 {
-                dst.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        // `min` idles at `u64::MAX`, so merging an empty histogram is a no-op.
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Samples recorded so far (exact).
@@ -251,99 +221,29 @@ mod tests {
             values in proptest::collection::vec(0u64..1_000_000, 1..400),
             q_pcts in proptest::collection::vec(0u32..101, 1..8),
         ) {
-            if crate::ENABLED {
-                let h = Histogram::new();
-                for &v in &values {
-                    h.record(v);
-                }
-                let mut sorted = values.clone();
-                sorted.sort_unstable();
-                let snap = h.snapshot();
-                prop_assert_eq!(snap.count, values.len() as u64);
-                prop_assert_eq!(snap.sum, values.iter().sum::<u64>());
-                prop_assert_eq!(snap.min, *sorted.first().unwrap());
-                prop_assert_eq!(snap.max, *sorted.last().unwrap());
-                for &pct in &q_pcts {
-                    let q = pct as f64 / 100.0;
-                    let truth = sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-                    let got = snap.quantile(q);
-                    prop_assert!(got >= truth, "q={} reported {} < true {}", q, got, truth);
-                    prop_assert!(
-                        got <= truth + truth / SUB + 1,
-                        "q={} reported {} above error bound for true {}",
-                        q, got, truth
-                    );
-                }
+            let h = Histogram::new();
+            for &v in &values {
+                h.record(v);
             }
-        }
-    }
-
-    proptest! {
-        /// The `merge_from` satellite: merging two independently recorded
-        /// histograms must be indistinguishable from recording the union
-        /// stream into one — identical buckets/totals, and therefore every
-        /// merged quantile equals the union stream's within one log bucket
-        /// (the same 1/8 relative bound a single histogram carries).
-        #[test]
-        fn merged_quantiles_equal_union_stream_within_bucket_error(
-            left in proptest::collection::vec(0u64..1_000_000, 0..200),
-            right in proptest::collection::vec(0u64..1_000_000, 1..200),
-            q_pcts in proptest::collection::vec(0u32..101, 1..8),
-        ) {
-            if crate::ENABLED {
-                let a = Histogram::new();
-                let b = Histogram::new();
-                for &v in &left {
-                    a.record(v);
-                }
-                for &v in &right {
-                    b.record(v);
-                }
-                a.merge_from(&b);
-                let union_h = Histogram::new();
-                let mut union: Vec<u64> = left.iter().chain(&right).copied().collect();
-                for &v in &union {
-                    union_h.record(v);
-                }
-                union.sort_unstable();
-                let merged = a.snapshot();
-                let oracle = union_h.snapshot();
-                // Bucket-for-bucket identical to the union recording...
-                prop_assert_eq!(merged.nonzero_buckets(), oracle.nonzero_buckets());
-                prop_assert_eq!(
-                    (merged.count, merged.sum, merged.min, merged.max),
-                    (oracle.count, oracle.sum, oracle.min, oracle.max)
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let snap = h.snapshot();
+            prop_assert_eq!(snap.count, values.len() as u64);
+            prop_assert_eq!(snap.sum, values.iter().sum::<u64>());
+            prop_assert_eq!(snap.min, *sorted.first().unwrap());
+            prop_assert_eq!(snap.max, *sorted.last().unwrap());
+            for &pct in &q_pcts {
+                let q = pct as f64 / 100.0;
+                let truth = sorted[((sorted.len() - 1) as f64 * q).round() as usize];
+                let got = snap.quantile(q);
+                prop_assert!(got >= truth, "q={} reported {} < true {}", q, got, truth);
+                prop_assert!(
+                    got <= truth + truth / SUB + 1,
+                    "q={} reported {} above error bound for true {}",
+                    q, got, truth
                 );
-                // ...hence every quantile is within one log bucket of the
-                // union stream's true rank value.
-                for &pct in &q_pcts {
-                    let q = pct as f64 / 100.0;
-                    let truth = union[((union.len() - 1) as f64 * q).round() as usize];
-                    let got = merged.quantile(q);
-                    prop_assert!(got >= truth, "q={} merged {} < true {}", q, got, truth);
-                    prop_assert!(
-                        got <= truth + truth / SUB + 1,
-                        "q={} merged {} above one-bucket bound for true {}",
-                        q, got, truth
-                    );
-                }
             }
         }
-    }
-
-    #[test]
-    fn merge_from_empty_is_identity() {
-        let a = Histogram::new();
-        a.record(7);
-        a.record(900);
-        let before = a.snapshot();
-        a.merge_from(&Histogram::new());
-        let after = a.snapshot();
-        assert_eq!(before.nonzero_buckets(), after.nonzero_buckets());
-        assert_eq!(
-            (before.count, before.sum, before.min, before.max),
-            (after.count, after.sum, after.min, after.max)
-        );
     }
 
     #[test]
@@ -370,10 +270,6 @@ mod tests {
             w.join().unwrap();
         }
         let snap = h.snapshot();
-        if !crate::ENABLED {
-            assert_eq!(snap.count, 0);
-            return;
-        }
         assert_eq!(snap.count, THREADS * PER);
         assert_eq!(snap.sum, THREADS * (0..PER).map(|i| i % 1000).sum::<u64>());
         // Compare against a sequentially built oracle bucket-for-bucket.

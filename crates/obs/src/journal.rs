@@ -15,9 +15,7 @@
 //! two renders of a quiesced journal are byte-for-byte identical — the same
 //! property the registry exposition already guarantees.
 //!
-//! Recording is one short mutex'd ring push plus two atomic reads; the
-//! `obs-off` feature compiles every record call into a no-op, like the rest
-//! of this crate.
+//! Recording is one short mutex'd ring push plus two atomic reads.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,12 +173,8 @@ impl EventJournal {
         }
     }
 
-    /// Appends one event, stamping its sequence number and timestamp. A
-    /// no-op in `obs-off` builds.
+    /// Appends one event, stamping its sequence number and timestamp.
     pub fn record(&self, kind: EventKind) {
-        if !crate::ENABLED {
-            return;
-        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.ring.push(Event {
             seq,
@@ -238,11 +232,6 @@ mod tests {
         for round in 0..5 {
             j.record(EventKind::WalCheckpoint { round });
         }
-        if !crate::ENABLED {
-            assert!(j.is_empty());
-            assert_eq!(j.total_recorded(), 0);
-            return;
-        }
         assert_eq!(j.total_recorded(), 5);
         let recent = j.recent();
         assert_eq!(recent.len(), 3, "ring keeps the last 3");
@@ -272,14 +261,10 @@ mod tests {
         let text = j.render_text();
         assert_eq!(text, j.render_text(), "rendering must be deterministic");
         assert!(text.lines().all(|l| l.starts_with('#')));
-        if crate::ENABLED {
-            assert!(text.contains("arena_rebuild reason=dead_space capacity=1024 tasks=4"));
-            assert!(text.contains("wal_recovery round=41 replayed=7 tail_truncated=true"));
-            assert!(text.contains("feed_lag round=12"));
-            assert!(text.starts_with("# event_journal retained=3 total=3\n"));
-        } else {
-            assert_eq!(text, "# event_journal retained=0 total=0\n");
-        }
+        assert!(text.contains("arena_rebuild reason=dead_space capacity=1024 tasks=4"));
+        assert!(text.contains("wal_recovery round=41 replayed=7 tail_truncated=true"));
+        assert!(text.contains("feed_lag round=12"));
+        assert!(text.starts_with("# event_journal retained=3 total=3\n"));
     }
 
     #[test]
@@ -299,9 +284,6 @@ mod tests {
             .collect();
         for w in workers {
             w.join().unwrap();
-        }
-        if !crate::ENABLED {
-            return;
         }
         assert_eq!(j.total_recorded(), 2000);
         let mut seqs: Vec<u64> = j.recent().iter().map(|e| e.seq).collect();

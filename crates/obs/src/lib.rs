@@ -3,10 +3,9 @@
 //! Dependency-free observability primitives for the serving stack: atomic
 //! [`Counter`]s and [`Gauge`]s, a lock-free log-bucketed [`Histogram`] with
 //! p50/p90/p99/max snapshots, a [`Registry`] with deterministic
-//! Prometheus-style text exposition (several registries render as one via
-//! [`Registry::merge`]), a [`FlightRecorder`] ring that keeps the last K
-//! structured records (the server stores one per-round commit timeline in
-//! it), and an [`EventJournal`] ring of typed, timestamped
+//! Prometheus-style text exposition, a [`FlightRecorder`] ring that keeps
+//! the last K structured records (the server stores one per-round commit
+//! timeline in it), and an [`EventJournal`] ring of typed, timestamped
 //! rare-but-diagnostic events (arena rebuilds, WAL checkpoints, fsync
 //! stalls, subscriber resyncs).
 //!
@@ -18,9 +17,9 @@
 //!   is a handful of relaxed atomic RMWs; no recording call ever takes a
 //!   lock. The registry's mutex guards *registration and rendering* only —
 //!   call sites hold `Arc`s to their instruments and never touch it again.
-//! * **Compile-out switch.** Building with the `obs-off` feature turns every
-//!   recording call into a no-op (`ENABLED` is `false`), so instrumented
-//!   code can measure its own observability overhead honestly.
+//! * **Always on.** There is no switch that turns recording off: a number
+//!   read from a registry means the same thing in every build and every
+//!   configuration.
 //!
 //! Counts and sums are exact: every `record` is a `fetch_add`, so once the
 //! recording threads are quiesced a snapshot's `count`/`sum` equal the
@@ -43,12 +42,6 @@ pub use registry::Registry;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// `false` when the crate was built with the `obs-off` feature: every
-/// recording call below compiles to a no-op, and instrumentation guarded by
-/// `if greedy_obs::ENABLED` folds away entirely (including its
-/// `Instant::now()` reads).
-pub const ENABLED: bool = cfg!(not(feature = "obs-off"));
-
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -68,9 +61,6 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if !ENABLED {
-            return;
-        }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -95,9 +85,6 @@ impl Gauge {
 
     /// Sets the level.
     pub fn set(&self, v: i64) {
-        if !ENABLED {
-            return;
-        }
         self.value.store(v, Ordering::Relaxed);
     }
 
@@ -113,9 +100,6 @@ impl Gauge {
 
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
-        if !ENABLED {
-            return;
-        }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -135,14 +119,14 @@ mod tests {
         let c = Counter::new();
         c.inc();
         c.add(4);
-        assert_eq!(c.get(), if ENABLED { 5 } else { 0 });
+        assert_eq!(c.get(), 5);
         let g = Gauge::new();
         g.inc();
         g.inc();
         g.dec();
-        assert_eq!(g.get(), if ENABLED { 1 } else { 0 });
+        assert_eq!(g.get(), 1);
         g.set(-3);
-        assert_eq!(g.get(), if ENABLED { -3 } else { 0 });
+        assert_eq!(g.get(), -3);
     }
 
     #[test]
@@ -161,6 +145,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(c.get(), if ENABLED { 80_000 } else { 0 });
+        assert_eq!(c.get(), 80_000);
     }
 }

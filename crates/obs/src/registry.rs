@@ -102,43 +102,6 @@ impl Registry {
         self.lock().keys().cloned().collect()
     }
 
-    /// Folds `other`'s instruments into this registry by name: counters
-    /// **sum**, gauges take the **max** level, histograms merge bucket-wise
-    /// ([`Histogram::merge_from`]). A name absent here is registered first,
-    /// so merging into a fresh registry copies `other` — how the server
-    /// renders its own registry and the engine's as one exposition.
-    ///
-    /// `other`'s entries are snapshotted before any self-registration, so the
-    /// two registries' locks are never held at once (merging in both
-    /// directions concurrently cannot deadlock).
-    ///
-    /// # Panics
-    /// If a name is registered with different types in the two registries.
-    pub fn merge(&self, other: &Registry) {
-        let entries: Vec<(String, Metric)> = other
-            .lock()
-            .iter()
-            .map(|(name, metric)| {
-                let clone = match metric {
-                    Metric::Counter(c) => Metric::Counter(c.clone()),
-                    Metric::Gauge(g) => Metric::Gauge(g.clone()),
-                    Metric::Histogram(h) => Metric::Histogram(h.clone()),
-                };
-                (name.clone(), clone)
-            })
-            .collect();
-        for (name, metric) in entries {
-            match metric {
-                Metric::Counter(src) => self.counter(&name).add(src.get()),
-                Metric::Gauge(src) => {
-                    let dst = self.gauge(&name);
-                    dst.set(dst.get().max(src.get()));
-                }
-                Metric::Histogram(src) => self.histogram(&name).merge_from(&src),
-            }
-        }
-    }
-
     /// Renders every metric in Prometheus text-exposition style, sorted by
     /// name. Counters and gauges emit one `# TYPE` line and one value line;
     /// histograms emit `_count`/`_sum`/`_min`/`_max` plus
@@ -184,7 +147,7 @@ mod tests {
         let a = r.counter("requests_total");
         let b = r.counter("requests_total");
         a.add(3);
-        assert_eq!(b.get(), if crate::ENABLED { 3 } else { 0 });
+        assert_eq!(b.get(), 3);
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -194,49 +157,6 @@ mod tests {
         let r = Registry::new();
         let _ = r.counter("x");
         let _ = r.gauge("x");
-    }
-
-    #[test]
-    fn merge_sums_counters_maxes_gauges_and_merges_histograms() {
-        if !crate::ENABLED {
-            return;
-        }
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("rounds_total").add(3);
-        b.counter("rounds_total").add(4);
-        b.counter("only_in_b_total").add(9);
-        a.gauge("subscribers").set(2);
-        b.gauge("subscribers").set(5);
-        a.histogram("latency_us").record(10);
-        b.histogram("latency_us").record(1000);
-
-        a.merge(&b);
-        assert_eq!(a.counter("rounds_total").get(), 7, "counters sum");
-        assert_eq!(a.counter("only_in_b_total").get(), 9, "absent names copy");
-        assert_eq!(a.gauge("subscribers").get(), 5, "gauges take the max");
-        let h = a.histogram("latency_us").snapshot();
-        assert_eq!((h.count, h.min, h.max), (2, 10, 1000));
-        // `b` is untouched.
-        assert_eq!(b.counter("rounds_total").get(), 4);
-
-        // Merging into a fresh registry (the scrape shape) renders one
-        // combined exposition deterministically.
-        let combined = Registry::new();
-        combined.merge(&a);
-        assert_eq!(combined.render_text(), a.render_text());
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn merge_type_mismatch_panics() {
-        // Registration (unlike recording) is not compiled out, so the
-        // mismatch panics in obs-off builds too.
-        let a = Registry::new();
-        let b = Registry::new();
-        let _ = a.counter("x");
-        let _ = b.gauge("x");
-        a.merge(&b);
     }
 
     /// The satellite's text-exposition roundtrip: render, parse the plain
@@ -260,19 +180,16 @@ mod tests {
             let (name, value) = line.split_once(' ').expect("value line");
             parsed.insert(name.to_string(), value.parse::<i64>().unwrap());
         }
-        let on = crate::ENABLED;
-        assert_eq!(parsed["b_rounds_total"], if on { 7 } else { 0 });
-        assert_eq!(parsed["a_subscribers"], if on { 2 } else { 0 });
-        assert_eq!(parsed["c_latency_us_count"], if on { 4 } else { 0 });
-        assert_eq!(parsed["c_latency_us_sum"], if on { 1060 } else { 0 });
-        assert_eq!(parsed["c_latency_us_min"], if on { 10 } else { 0 });
-        assert_eq!(parsed["c_latency_us_max"], if on { 1000 } else { 0 });
-        if on {
-            // Rank-0.5 of [10, 20, 30, 1000] is 30, whose bucket is [30, 31].
-            let p50 = parsed["c_latency_us{quantile=\"0.5\"}"];
-            assert!((30..=31).contains(&p50), "p50 {p50} outside bucket bound");
-            assert_eq!(parsed["c_latency_us{quantile=\"0.99\"}"], 1000);
-        }
+        assert_eq!(parsed["b_rounds_total"], 7);
+        assert_eq!(parsed["a_subscribers"], 2);
+        assert_eq!(parsed["c_latency_us_count"], 4);
+        assert_eq!(parsed["c_latency_us_sum"], 1060);
+        assert_eq!(parsed["c_latency_us_min"], 10);
+        assert_eq!(parsed["c_latency_us_max"], 1000);
+        // Rank-0.5 of [10, 20, 30, 1000] is 30, whose bucket is [30, 31].
+        let p50 = parsed["c_latency_us{quantile=\"0.5\"}"];
+        assert!((30..=31).contains(&p50), "p50 {p50} outside bucket bound");
+        assert_eq!(parsed["c_latency_us{quantile=\"0.99\"}"], 1000);
         // Names render sorted, so the gauge (a_) precedes the counter (b_).
         let a = text.find("a_subscribers").unwrap();
         let b = text.find("b_rounds_total").unwrap();

@@ -57,9 +57,9 @@ pub fn default_num_blocks() -> usize {
 /// Applies `f` to every coarse task in `tasks`, in parallel, returning the
 /// results in task order.
 ///
-/// This is the fork–join fan-out for *blocked* algorithms (scan, radix sort,
-/// sample sort) that hand out a handful of tasks — typically a small multiple
-/// of the thread count — where each task is a large contiguous block of work.
+/// This is the fork–join fan-out for *blocked* algorithms (scan, radix sort)
+/// that hand out a handful of tasks — typically a small multiple of the
+/// thread count — where each task is a large contiguous block of work.
 /// `par_iter` over such a short task list does not split (its grain size is
 /// tuned for per-element work), so this helper recurses with [`rayon::join`]
 /// instead. Forking stops once the current thread budget

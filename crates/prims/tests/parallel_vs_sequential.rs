@@ -67,7 +67,7 @@ fn par_pack_equals_pack() {
 }
 
 #[test]
-fn par_sort_equals_sequential_sort() {
+fn parallel_sort_equals_sequential_sort() {
     for data in shapes_u64() {
         let mut seq = data.clone();
         let mut par = data.clone();

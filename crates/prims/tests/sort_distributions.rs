@@ -1,9 +1,8 @@
 //! Distribution torture battery for the parallel sorting subsystem.
 //!
-//! Every distribution is run through both new sorts — the prims-level LSD
-//! radix sort ([`sort_by_key_parallel`] / [`par_radix_sort_by_key`]) and the
-//! rayon shim's sample sort (`par_sort_by_key` / `par_sort_unstable`) — and
-//! checked against `std`'s sorts for exact value equality. Both sorts promise
+//! Every distribution is run through the prims-level LSD radix sort
+//! ([`sort_by_key_parallel`] / [`par_radix_sort_by_key`]) and checked
+//! against `std`'s sort for exact value equality. The sort promises
 //! stability, so for keyed records the expectation is `std`'s *stable*
 //! `sort_by_key`, payloads included; any reordering of equal keys is a
 //! failure. Each case runs at several pinned pool sizes so the parallel code
@@ -11,7 +10,6 @@
 
 use greedy_prims::random::hash64;
 use greedy_prims::sort::{par_radix_sort_by_key, sort_by_key_parallel};
-use rayon::prelude::*;
 
 /// Records: (key, payload). The payload is the original index, which makes
 /// stability violations visible as payload mismatches.
@@ -24,8 +22,8 @@ fn with_payloads(keys: impl IntoIterator<Item = u64>) -> Vec<Rec> {
         .collect()
 }
 
-/// The torture distributions. `N` is large enough to clear every sequential
-/// cutoff in the subsystem (prims radix: 32768; shim sample sort: ≥4096).
+/// The torture distributions. `N` is large enough to clear the radix sort's
+/// sequential cutoff (32768).
 fn distributions() -> Vec<(&'static str, Vec<Rec>)> {
     const N: u64 = 60_000;
     vec![
@@ -90,40 +88,6 @@ fn radix_sort_direct_entry_point_agrees() {
         let mut got = input.clone();
         in_pool(4, || par_radix_sort_by_key(&mut got, |&(k, _)| k));
         assert_eq!(got, expected, "direct radix diverged: {name}");
-    }
-}
-
-#[test]
-fn sample_sort_by_key_matches_std_stable_sort_on_all_distributions() {
-    for (name, input) in distributions() {
-        let mut expected = input.clone();
-        expected.sort_by_key(|&(k, _)| k);
-        for threads in pool_sizes() {
-            let mut got = input.clone();
-            in_pool(threads, || got.par_sort_by_key(|&(k, _)| k));
-            assert_eq!(
-                got, expected,
-                "sample sort vs std diverged: {name}, {threads} threads"
-            );
-        }
-    }
-}
-
-#[test]
-fn sample_sort_unstable_matches_std_on_all_distributions() {
-    // Full-record Ord: records are distinct, so sorted order is unique and
-    // "unstable" must still match std exactly.
-    for (name, input) in distributions() {
-        let mut expected = input.clone();
-        expected.sort_unstable();
-        for threads in pool_sizes() {
-            let mut got = input.clone();
-            in_pool(threads, || got.par_sort_unstable());
-            assert_eq!(
-                got, expected,
-                "par_sort_unstable vs std diverged: {name}, {threads} threads"
-            );
-        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! maximal-matching backends built on it.
 //!
 //! The paper's companion work ("Internally deterministic parallel algorithms
-//! can be fast", reference [2] of the SPAA paper) packages the prefix
+//! can be fast", reference \[2\] of the SPAA paper) packages the prefix
 //! technique as a reusable primitive called `speculative_for`: a loop whose
 //! iterates may conflict, executed greedily over prefixes of the remaining
 //! iterates. Each round, every pending iterate in the prefix *reserves* the

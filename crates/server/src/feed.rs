@@ -448,9 +448,6 @@ mod tests {
 
     #[test]
     fn instruments_track_subscribe_lag_and_prune() {
-        if !greedy_obs::ENABLED {
-            return;
-        }
         let feed = DeltaFeed::new(4);
         let gauge = Arc::new(Gauge::new());
         let lagged = Arc::new(Counter::new());

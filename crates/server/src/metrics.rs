@@ -1,10 +1,12 @@
 //! Server observability: the named instrument set over [`greedy_obs`], plus
 //! the per-round flight recorder.
 //!
-//! One [`ServerMetrics`] lives behind the server's `Arc<Shared>`; every hot
-//! path (the engine thread's commit sequence, query dispatch, the feed's
-//! fan-out) holds `Arc`s to its instruments and records lock-free. The
-//! registry itself is only locked to render
+//! One [`ServerMetrics`] lives behind the server's `Arc<Shared>`, and every
+//! server is built with one: there is no switch that turns it off. Its one
+//! [`Registry`] holds the `server_*` instruments and the engine's `engine_*`
+//! set. Every hot path (the engine thread's commit sequence, query dispatch,
+//! the feed's fan-out) holds `Arc`s to its instruments and records
+//! lock-free. The registry itself is only locked to render
 //! [`ServerMetrics::render_text`] — what `ServerHandle::metrics_text()` and
 //! the `Request::Metrics` wire frame both return, byte-for-byte identically
 //! on a quiesced server.
@@ -89,9 +91,10 @@ pub struct RoundTrace {
     pub pages: u64,
 }
 
-/// The server's instrument set. Construction registers every metric, so a
-/// rendered exposition always lists the full set (zeros included) — the CI
-/// smoke check relies on nothing being silently absent.
+/// The server's instrument set. Construction registers every metric, the
+/// engine's included, so a rendered exposition always lists the full set
+/// (zeros included) — the CI smoke check relies on nothing being silently
+/// absent.
 pub struct ServerMetrics {
     registry: Registry,
     recorder: FlightRecorder<RoundTrace>,
@@ -99,9 +102,9 @@ pub struct ServerMetrics {
     /// arena, WAL, feed) appends to; rendered as comment lines at the tail
     /// of the exposition.
     journal: Arc<EventJournal>,
-    /// The engine-internals instrument set. The engine thread records into a
-    /// clone attached via `Engine::attach_metrics`; this copy shares the
-    /// same `Arc`'d instruments, so the exposition sees every sample.
+    /// The engine-internals instrument set, registered in `registry`. The
+    /// engine thread records into a clone attached via
+    /// `Engine::attach_metrics`.
     engine: EngineMetrics,
     /// Micros since `epoch` of the latest snapshot publication; `u64::MAX`
     /// until the first (age reads as 0 before any publication).
@@ -157,7 +160,7 @@ impl ServerMetrics {
         let registry = Registry::new();
         let journal = Arc::new(EventJournal::default());
         Self {
-            engine: EngineMetrics::new(journal.clone()),
+            engine: EngineMetrics::new(&registry, journal.clone()),
             journal,
             recorder: FlightRecorder::new(FLIGHT_RECORDER_ROUNDS),
             last_publish_us: AtomicU64::new(u64::MAX),
@@ -196,9 +199,6 @@ impl ServerMetrics {
     /// Folds one committed round into the histograms/counters and the flight
     /// recorder. Engine thread only.
     pub fn record_round(&self, t: &RoundTrace, effective_updates: u64) {
-        if !greedy_obs::ENABLED {
-            return;
-        }
         self.commit_stage_wait_us.record(t.stage_wait_us);
         self.commit_apply_us.record(t.apply_us);
         self.commit_repair_us.record(t.repair_us);
@@ -283,10 +283,9 @@ impl ServerMetrics {
         )
     }
 
-    /// The underlying registry (for direct reads in tests and `serve_load`).
-    /// Holds the `server_*` instruments only; the `engine_*` set lives on
-    /// [`ServerMetrics::engine_metrics`] and both appear merged in
-    /// [`ServerMetrics::render_text`].
+    /// The underlying registry (for direct reads in tests and `serve_load`):
+    /// every `server_*` and `engine_*` instrument, as
+    /// [`ServerMetrics::render_text`] renders them.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -318,15 +317,12 @@ impl ServerMetrics {
         self.recorder.recent()
     }
 
-    /// The full text exposition: the `server_*` and `engine_*` instrument
-    /// sets merged into one deterministically-ordered listing (via
-    /// [`greedy_obs::Registry::merge`]), followed by the event journal as `#`
-    /// comment lines. Deterministic on a quiesced server, like each part.
+    /// The full text exposition: the registry's `server_*` and `engine_*`
+    /// instruments in one name-sorted listing, followed by the event journal
+    /// as `#` comment lines. Deterministic on a quiesced server, like each
+    /// part.
     pub fn render_text(&self) -> String {
-        let merged = Registry::new();
-        merged.merge(&self.registry);
-        merged.merge(self.engine.registry());
-        let mut out = merged.render_text();
+        let mut out = self.registry.render_text();
         out.push_str(&self.journal.render_text());
         out
     }
@@ -379,7 +375,9 @@ mod tests {
         assert!(text.contains("server_rounds_committed_total 0"));
         assert!(text.contains("server_commit_total_us_count 0"));
         assert!(text.contains("server_durable_lag 0"));
-        // The exposition also carries the merged engine set and the journal.
+        // The one registry also carries the engine set, and the exposition
+        // the journal.
+        assert!(names.iter().any(|n| n == "engine_rebuilds_total"));
         assert!(text.contains("engine_rebuilds_total 0"));
         assert!(text.contains("engine_arena_capacity 0"));
         assert!(text.contains("# event_journal retained=0 total=0"));
@@ -409,10 +407,6 @@ mod tests {
                 },
                 10 * round,
             );
-        }
-        if !greedy_obs::ENABLED {
-            assert!(m.recent_rounds().is_empty());
-            return;
         }
         assert_eq!(m.recent_rounds().len(), 3);
         assert_eq!(m.recent_rounds()[2].round, 3);

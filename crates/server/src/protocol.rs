@@ -228,11 +228,10 @@ pub struct StatsReply {
     pub edges_deleted: u64,
     /// Currently registered delta-feed subscribers.
     pub subscribers: u64,
-    /// Full-snapshot resyncs served to subscribers (0 when the server runs
-    /// with metrics disabled).
+    /// Full-snapshot resyncs served to subscribers.
     pub resyncs: u64,
     /// p50 of whole-round commit latency in µs, from the server's metrics
-    /// histograms (0 with metrics disabled or before the first round).
+    /// histograms (0 before the first round).
     pub commit_p50_us: u64,
     /// p99 of whole-round commit latency in µs (same caveats).
     pub commit_p99_us: u64,

@@ -100,9 +100,8 @@ pub struct CommitSinks<'a> {
     pub cell: &'a SnapshotCell,
     /// Coherence-audit recorder ([`crate::serve::ServerConfig::record_rounds`]).
     pub record: Option<&'a Mutex<Vec<CommittedRound>>>,
-    /// Subscriber hub + replay ring; `None` in tests that only exercise the
-    /// scheduler.
-    pub feed: Option<&'a DeltaFeed>,
+    /// Subscriber hub + replay ring.
+    pub feed: &'a DeltaFeed,
     /// Write-ahead log; when present, the round's record is appended (and
     /// made as durable as the fsync policy promises) **before** any other
     /// sink sees the round and before any writer is woken — the WAL's
@@ -112,9 +111,8 @@ pub struct CommitSinks<'a> {
     pub wal: Option<&'a Mutex<Wal>>,
     /// Observability sink: each committed round's timeline (stage wait,
     /// apply, repair, WAL, publish, feed) is folded into the histograms and
-    /// the flight recorder. `None` (or an `obs-off` build) commits with zero
-    /// timing overhead — not even the `Instant::now` reads happen.
-    pub metrics: Option<&'a ServerMetrics>,
+    /// the flight recorder.
+    pub metrics: &'a ServerMetrics,
 }
 
 /// Per-round rendezvous between the engine thread and the writers waiting on
@@ -289,14 +287,6 @@ impl RoundScheduler {
         // Armed for the whole drive: runs on normal return AND on unwind, so
         // a panicking engine thread cannot strand writers on the condvar.
         let _exit_guard = EngineExitGuard(self);
-        // All commit-pipeline timing folds away unless a metrics sink is
-        // attached AND the build records (obs-off strips it): `obs` is `None`
-        // otherwise, and every `Instant::now` below hides behind it.
-        let obs = if greedy_obs::ENABLED {
-            sinks.metrics
-        } else {
-            None
-        };
         let mut last_round = self.committed_round();
         loop {
             let (insertions, deletions, round, opened_at) = {
@@ -344,7 +334,7 @@ impl RoundScheduler {
                 s.staging_round += 1;
                 (insertions, deletions, round, opened_at)
             };
-            let t_drain = obs.map(|_| Instant::now());
+            let t_drain = Instant::now();
 
             // All engine work happens outside the staging lock: writers keep
             // staging the *next* round while this one is applied.
@@ -354,7 +344,7 @@ impl RoundScheduler {
             };
             let staged_updates = (batch.insertions.len() + batch.deletions.len()) as u64;
             let report = engine.apply_batch(&batch);
-            let t_apply = obs.map(|_| Instant::now());
+            let t_apply = Instant::now();
             let full = std::sync::Arc::new(FullDelta::from_report(round, &report));
 
             // Durability first: the round's record must be on the log (and
@@ -379,15 +369,15 @@ impl RoundScheduler {
                         return engine;
                     }
                 };
-                if let Some(m) = obs {
-                    m.record_wal_append(checkpointed);
-                    // How far the disk trails the ack we are about to give:
-                    // 0 under `PerRound`, sawtooths in `0..k` under
-                    // `EveryRounds(k)`.
-                    m.set_durable_lag(round.saturating_sub(wal.durable_round()));
-                }
+                sinks.metrics.record_wal_append(checkpointed);
+                // How far the disk trails the ack we are about to give: 0
+                // under `PerRound`, sawtooths in `0..k` under
+                // `EveryRounds(k)`.
+                sinks
+                    .metrics
+                    .set_durable_lag(round.saturating_sub(wal.durable_round()));
             }
-            let t_wal = obs.map(|_| Instant::now());
+            let t_wal = Instant::now();
 
             // `server_snapshot` is copy-on-write: its cost is the pages the
             // round touched, not O(n) — cheap enough to take every round.
@@ -397,9 +387,7 @@ impl RoundScheduler {
                 stats: *engine.stats(),
             });
             sinks.cell.publish_arc(snapshot.clone());
-            if let Some(m) = obs {
-                m.note_publish();
-            }
+            sinks.metrics.note_publish();
             if let Some(rec) = sinks.record {
                 lock_unpoisoned(rec).push(CommittedRound {
                     round,
@@ -409,44 +397,34 @@ impl RoundScheduler {
                     delta: full.clone(),
                 });
             }
-            let t_publish = obs.map(|_| Instant::now());
-            if let Some(feed) = sinks.feed {
-                feed.publish(full);
-            }
-            if let Some(m) = obs {
-                // Unwraps are safe: every t_* was taken on the same branch.
-                let t_drain = t_drain.unwrap();
-                let t_feed = Instant::now();
-                let engine_t = engine.last_batch_timings();
-                m.record_round(
-                    &RoundTrace {
-                        round,
-                        updates: staged_updates,
-                        stage_wait_us: opened_at
-                            .map(|at| t_drain.duration_since(at).as_micros() as u64)
-                            .unwrap_or(0),
-                        apply_us: t_apply.unwrap().duration_since(t_drain).as_micros() as u64,
-                        repair_us: engine_t.matching_repair_us + engine_t.mis_repair_us,
-                        wal_us: t_wal.unwrap().duration_since(t_apply.unwrap()).as_micros() as u64,
-                        publish_us: t_publish
-                            .unwrap()
-                            .duration_since(t_wal.unwrap())
-                            .as_micros() as u64,
-                        feed_us: t_feed.duration_since(t_publish.unwrap()).as_micros() as u64,
-                        total_us: t_feed.duration_since(t_drain).as_micros() as u64,
-                        mis_rounds: report.mis_repair.rounds,
-                        matching_rounds: report.matching_repair.rounds,
-                        max_frontier: report
-                            .mis_repair
-                            .max_frontier
-                            .max(report.matching_repair.max_frontier),
-                        decided: report.mis_repair.decided + report.matching_repair.decided,
-                        flips: report.mis_repair.flips + report.matching_repair.flips,
-                        pages: engine.last_publication_pages() as u64,
-                    },
-                    (report.edges_inserted + report.edges_deleted) as u64,
-                );
-            }
+            let t_publish = Instant::now();
+            sinks.feed.publish(full);
+            let t_feed = Instant::now();
+            let engine_t = engine.last_batch_timings();
+            let us = |from: Instant, to: Instant| to.duration_since(from).as_micros() as u64;
+            sinks.metrics.record_round(
+                &RoundTrace {
+                    round,
+                    updates: staged_updates,
+                    stage_wait_us: opened_at.map_or(0, |at| us(at, t_drain)),
+                    apply_us: us(t_drain, t_apply),
+                    repair_us: engine_t.matching_repair_us + engine_t.mis_repair_us,
+                    wal_us: us(t_apply, t_wal),
+                    publish_us: us(t_wal, t_publish),
+                    feed_us: us(t_publish, t_feed),
+                    total_us: us(t_drain, t_feed),
+                    mis_rounds: report.mis_repair.rounds,
+                    matching_rounds: report.matching_repair.rounds,
+                    max_frontier: report
+                        .mis_repair
+                        .max_frontier
+                        .max(report.matching_repair.max_frontier),
+                    decided: report.mis_repair.decided + report.matching_repair.decided,
+                    flips: report.mis_repair.flips + report.matching_repair.flips,
+                    pages: engine.last_publication_pages() as u64,
+                },
+                (report.edges_inserted + report.edges_deleted) as u64,
+            );
             last_round = round;
 
             let truncated = report.matching_changed.len() > crate::protocol::MAX_DELTA_SLOTS;
@@ -523,9 +501,9 @@ mod tests {
                 CommitSinks {
                     cell: &cell,
                     record: None,
-                    feed: None,
+                    feed: &DeltaFeed::new(4),
                     wal: None,
-                    metrics: None,
+                    metrics: &ServerMetrics::new(),
                 },
             )
         })

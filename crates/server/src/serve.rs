@@ -55,14 +55,6 @@ pub struct ServerConfig {
     /// directory; either way every committed round is logged before it is
     /// acked, and a final checkpoint is written on clean shutdown.
     pub wal: Option<WalConfig>,
-    /// Maintain the observability registry (per-stage commit histograms,
-    /// repair-round depth histograms, read-path latency, feed counters, and
-    /// the per-round flight recorder). On by default — recording costs a few
-    /// relaxed atomics per event. Off, the commit path skips even the clock
-    /// reads, and `metrics_text()`/[`Request::Metrics`] report a constant
-    /// "disabled" line. (Building with the `obs-off` feature disables
-    /// recording at compile time regardless of this flag.)
-    pub metrics: bool,
 }
 
 impl Default for ServerConfig {
@@ -72,7 +64,6 @@ impl Default for ServerConfig {
             record_rounds: false,
             delta_ring: 64,
             wal: None,
-            metrics: true,
         }
     }
 }
@@ -100,11 +91,10 @@ struct Shared {
     /// Highest round whose log record is durable (always 0 without a WAL);
     /// shared with the stats path as [`StatsReply::durable_round`].
     durable: Arc<AtomicU64>,
-    /// The observability registry + flight recorder (`None` when
-    /// [`ServerConfig::metrics`] is off). Shared by the engine thread (commit
-    /// traces), every connection worker (query latency), and the stats /
-    /// metrics exposition paths.
-    metrics: Option<Arc<ServerMetrics>>,
+    /// The observability registry + flight recorder. Shared by the engine
+    /// thread (commit traces), every connection worker (query latency), and
+    /// the stats / metrics exposition paths.
+    metrics: Arc<ServerMetrics>,
 }
 
 impl Shared {
@@ -157,27 +147,21 @@ impl ServerHandle {
         self.shared.durable.load(Ordering::SeqCst)
     }
 
-    /// The observability registry (`None` when [`ServerConfig::metrics`] is
-    /// off).
+    /// The observability registry. Always `Some`: every server keeps one.
+    /// The `Option` stays so existing callers keep compiling.
     pub fn metrics(&self) -> Option<&ServerMetrics> {
-        self.shared.metrics.as_deref()
+        Some(&self.shared.metrics)
     }
 
     /// The full metrics text exposition — byte-for-byte what a quiesced
-    /// server answers to [`Request::Metrics`]. A constant "disabled" line
-    /// when [`ServerConfig::metrics`] is off.
+    /// server answers to [`Request::Metrics`].
     pub fn metrics_text(&self) -> String {
-        metrics_text(&self.shared)
+        self.shared.metrics.render_text()
     }
 
-    /// The flight recorder's retained round timelines, oldest first (empty
-    /// when metrics are off).
+    /// The flight recorder's retained round timelines, oldest first.
     pub fn recent_rounds(&self) -> Vec<RoundTrace> {
-        self.shared
-            .metrics
-            .as_deref()
-            .map(ServerMetrics::recent_rounds)
-            .unwrap_or_default()
+        self.shared.metrics.recent_rounds()
     }
 
     /// The newest `last_k` retained round timelines, oldest first — exactly
@@ -291,30 +275,28 @@ pub fn serve_on<A: ToSocketAddrs>(
         .as_ref()
         .map(|w| w.durable_handle())
         .unwrap_or_default();
-    let metrics = config.metrics.then(|| Arc::new(ServerMetrics::new()));
-    if let Some(m) = &metrics {
-        // The journal's first entry is how the server came up; the engine
-        // gets its instrument clone before the engine thread starts, so even
-        // round 1's `apply_batch` records arena internals (and the clone's
-        // first record picks up the initial build + recovery replay history).
-        if let Some((round, replayed, tail_truncated)) = recovery {
-            m.journal().record(greedy_obs::EventKind::WalRecovery {
+    let metrics = Arc::new(ServerMetrics::new());
+    // The journal's first entry is how the server came up; the engine gets
+    // its instrument clone before the engine thread starts, so even round
+    // 1's `apply_batch` records arena internals (and the clone's first
+    // record picks up the initial build + recovery replay history).
+    if let Some((round, replayed, tail_truncated)) = recovery {
+        metrics
+            .journal()
+            .record(greedy_obs::EventKind::WalRecovery {
                 round,
                 replayed,
                 tail_truncated,
             });
-        }
-        engine.attach_metrics(m.engine_metrics().clone());
-        if let Some(w) = &mut wal_writer {
-            w.attach_journal(m.journal().clone());
-        }
+    }
+    engine.attach_metrics(metrics.engine_metrics().clone());
+    if let Some(w) = &mut wal_writer {
+        w.attach_journal(metrics.journal().clone());
     }
     let feed = DeltaFeed::with_base_round(config.delta_ring, base_round);
-    if let Some(m) = &metrics {
-        let (subscribers, lagged, pruned) = m.feed_instruments();
-        feed.instrument(subscribers, lagged, pruned);
-        feed.attach_journal(m.journal().clone());
-    }
+    let (subscribers, lagged, pruned) = metrics.feed_instruments();
+    feed.instrument(subscribers, lagged, pruned);
+    feed.attach_journal(metrics.journal().clone());
     let shared = Arc::new(Shared {
         scheduler: RoundScheduler::with_base_round(config.rounds, base_round),
         cell: SnapshotCell::new(PublishedSnapshot {
@@ -345,9 +327,9 @@ pub fn serve_on<A: ToSocketAddrs>(
                     CommitSinks {
                         cell: &shared.cell,
                         record: shared.record.as_ref(),
-                        feed: Some(&shared.feed),
+                        feed: &shared.feed,
                         wal: shared.wal.as_ref(),
-                        metrics: shared.metrics.as_deref(),
+                        metrics: &shared.metrics,
                     },
                 )
             })?
@@ -437,9 +419,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
             Err(_) => continue,
         }
-        if let Some(m) = &shared.metrics {
-            m.record_connection();
-        }
+        shared.metrics.record_connection();
         let worker = {
             let shared = shared.clone();
             thread::Builder::new()
@@ -556,9 +536,7 @@ fn run_subscriber(from: u64, writer: &mut BufWriter<TcpStream>, shared: &Shared)
             // so it must survive into the next iteration and resync again.
             sub.lagging.store(false, Ordering::SeqCst);
             let snap = shared.cell.load();
-            if let Some(m) = &shared.metrics {
-                m.record_feed_resync(snap.round);
-            }
+            shared.metrics.record_feed_resync(snap.round);
             for chunk in snapshot_chunks(snap.round, &snap.state) {
                 if send(writer, &Response::Snapshot(chunk)).is_err() {
                     return;
@@ -616,26 +594,12 @@ fn send(writer: &mut BufWriter<TcpStream>, response: &Response) -> io::Result<()
     writer.flush()
 }
 
-/// The exposition both `ServerHandle::metrics_text()` and the
-/// [`Request::Metrics`] wire frame serve — one renderer, so the two can
-/// never drift.
-fn metrics_text(shared: &Shared) -> String {
-    match &shared.metrics {
-        Some(m) => m.render_text(),
-        None => "# metrics disabled\n".to_string(),
-    }
-}
-
 /// The newest `last_k` flight-recorder traces, oldest first — what both
 /// `ServerHandle::trace` and the [`Request::Trace`] wire frame return.
 /// `last_k` is clamped to what the recorder retains, so a lying client can
 /// never size an allocation with it.
 fn recent_rounds_tail(shared: &Shared, last_k: u64) -> Vec<RoundTrace> {
-    let all = shared
-        .metrics
-        .as_deref()
-        .map(ServerMetrics::recent_rounds)
-        .unwrap_or_default();
+    let all = shared.metrics.recent_rounds();
     let take = usize::try_from(last_k).unwrap_or(usize::MAX).min(all.len());
     all[all.len() - take..].to_vec()
 }
@@ -649,7 +613,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         // registry never perturbs it (and a quiesced server answers
         // `Request::Metrics` byte-identically to `metrics_text()`).
         Request::QueryMis(vertices) => {
-            let t0 = shared.metrics.as_ref().map(|_| Instant::now());
+            let t0 = Instant::now();
             let snap = shared.cell.load();
             let response = match check_vertices(&vertices, shared.num_vertices) {
                 Some(err) => err,
@@ -658,13 +622,11 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     in_mis: vertices.iter().map(|&v| snap.state.in_mis(v)).collect(),
                 },
             };
-            if let (Some(m), Some(t0)) = (&shared.metrics, t0) {
-                m.record_query(t0.elapsed().as_micros() as u64);
-            }
+            shared.metrics.record_query(t0.elapsed().as_micros() as u64);
             response
         }
         Request::QueryMatched(vertices) => {
-            let t0 = shared.metrics.as_ref().map(|_| Instant::now());
+            let t0 = Instant::now();
             let snap = shared.cell.load();
             let response = match check_vertices(&vertices, shared.num_vertices) {
                 Some(err) => err,
@@ -676,15 +638,14 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                         .collect(),
                 },
             };
-            if let (Some(m), Some(t0)) = (&shared.metrics, t0) {
-                m.record_query(t0.elapsed().as_micros() as u64);
-            }
+            shared.metrics.record_query(t0.elapsed().as_micros() as u64);
             response
         }
         Request::Stats => {
             let snap = shared.cell.load();
             let durable = shared.durable.load(Ordering::SeqCst);
-            let mut reply = StatsReply {
+            let commit = shared.metrics.commit_total_us().snapshot();
+            Response::Stats(StatsReply {
                 round: snap.round,
                 durable_round: durable,
                 // Without a WAL `durable` stays 0, which would make every
@@ -703,19 +664,12 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 edges_inserted: snap.stats.edges_inserted,
                 edges_deleted: snap.stats.edges_deleted,
                 subscribers: shared.feed.subscriber_count() as u64,
-                resyncs: 0,
-                commit_p50_us: 0,
-                commit_p99_us: 0,
-            };
-            if let Some(m) = &shared.metrics {
-                reply.resyncs = m.feed_resyncs();
-                let commit = m.commit_total_us().snapshot();
-                reply.commit_p50_us = commit.quantile(0.50);
-                reply.commit_p99_us = commit.quantile(0.99);
-            }
-            Response::Stats(reply)
+                resyncs: shared.metrics.feed_resyncs(),
+                commit_p50_us: commit.quantile(0.50),
+                commit_p99_us: commit.quantile(0.99),
+            })
         }
-        Request::Metrics => Response::Metrics(metrics_text(shared)),
+        Request::Metrics => Response::Metrics(shared.metrics.render_text()),
         Request::Trace { last_k } => Response::Trace(recent_rounds_tail(shared, last_k)),
         Request::Shutdown => Response::ShuttingDown,
         // Handled by the connection loop before dispatch (it hijacks the

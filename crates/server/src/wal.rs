@@ -17,7 +17,7 @@
 //! framing — `[len: u32][crc32: u32][payload]`, CRC over the payload:
 //!
 //! * `wal-<first-round>.log` — log segments. Each record is tag
-//!   [`TAG_ROUND`]: the round id, the round's insertions and deletions, and
+//!   `TAG_ROUND`: the round id, the round's insertions and deletions, and
 //!   the round's delta in the exact wire [`DeltaFrame`] encoding
 //!   ([`crate::protocol`]'s encoder, uncapped, so the record never
 //!   truncates). Rounds are contiguous within and across segments; a new
@@ -615,13 +615,13 @@ impl Wal {
     }
 
     /// Fsyncs the open segment and advances the durable counter. A sync
-    /// slower than [`FSYNC_STALL_US`] is journalled — the one commit-path
+    /// slower than `FSYNC_STALL_US` (50 ms) is journalled — the one commit-path
     /// stall a healthy server should never show.
     pub fn sync(&mut self) -> io::Result<()> {
         if let Some(seg) = &self.seg {
-            let t0 = (greedy_obs::ENABLED && self.journal.is_some()).then(Instant::now);
+            let t0 = Instant::now();
             seg.file.sync_data()?;
-            if let (Some(j), Some(t0)) = (&self.journal, t0) {
+            if let Some(j) = &self.journal {
                 let micros = t0.elapsed().as_micros() as u64;
                 if micros >= FSYNC_STALL_US {
                     j.record(EventKind::WalFsyncStall {

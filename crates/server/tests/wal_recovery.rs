@@ -6,6 +6,8 @@
 //! log tail (torn final record, bit-flipped CRC) truncates the replay at
 //! the last valid record instead of panicking or diverging.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
@@ -219,6 +221,11 @@ fn server_restart_resumes_rounds_and_state_from_the_log() {
     client.insert_edges(&[(1, 2), (3, 4)]).expect("insert");
     client.insert_edges(&[(5, 6)]).expect("insert");
     client.delete_edges(&[(1, 2)]).expect("delete");
+    // Every acked round was logged and fsynced inside its commit, so the
+    // WAL stage is real time here, and the stages must still tile.
+    let traces = handle.recent_rounds();
+    assert_eq!(traces.len(), 3);
+    common::assert_stages_tile(&traces);
     let stats = client.stats().expect("stats");
     assert!(
         stats.durable_round >= stats.round,
@@ -234,16 +241,14 @@ fn server_restart_resumes_rounds_and_state_from_the_log() {
     // authoritative, so the recovered server must serve the first life's
     // state and CONTINUE its round numbering, not restart at 1.
     let handle = serve(Engine::new(60, 4), config).expect("re-serve");
-    if greedy_obs::ENABLED {
-        // How this server came up is the journal's first entry.
-        let text = handle.metrics_text();
-        assert!(
-            text.contains(&format!(
-                "wal_recovery round={last_round} replayed=0 tail_truncated=false"
-            )),
-            "recovery outcome must be journalled, got:\n{text}"
-        );
-    }
+    // How this server came up is the journal's first entry.
+    let text = handle.metrics_text();
+    assert!(
+        text.contains(&format!(
+            "wal_recovery round={last_round} replayed=0 tail_truncated=false"
+        )),
+        "recovery outcome must be journalled, got:\n{text}"
+    );
     assert_eq!(handle.committed_round(), last_round);
     assert_eq!(handle.snapshot().round, last_round);
     assert_eq!(handle.snapshot().state, first_life);
@@ -275,12 +280,10 @@ fn durable_lag_is_nonzero_under_group_commit_and_zero_per_round() {
     assert_eq!(stats.round, 1);
     assert_eq!(stats.durable_round, 0, "round 1 must not be synced yet");
     assert_eq!(stats.durable_lag, 1, "StatsReply must expose the lag");
-    if greedy_obs::ENABLED {
-        assert!(
-            handle.metrics_text().contains("server_durable_lag 1"),
-            "the gauge must show the unsynced round"
-        );
-    }
+    assert!(
+        handle.metrics_text().contains("server_durable_lag 1"),
+        "the gauge must show the unsynced round"
+    );
     // Two more rounds trip the group fsync: the sawtooth returns to zero.
     client.insert_edges(&[(2, 3)]).expect("insert");
     client.insert_edges(&[(4, 5)]).expect("insert");
@@ -288,9 +291,7 @@ fn durable_lag_is_nonzero_under_group_commit_and_zero_per_round() {
     assert_eq!(stats.round, 3);
     assert_eq!(stats.durable_round, 3);
     assert_eq!(stats.durable_lag, 0);
-    if greedy_obs::ENABLED {
-        assert!(handle.metrics_text().contains("server_durable_lag 0"));
-    }
+    assert!(handle.metrics_text().contains("server_durable_lag 0"));
     handle.shutdown();
 
     // Per-round fsync never shows lag.

@@ -24,20 +24,14 @@
 //! threads and combines per-part results **in part order**, which keeps every
 //! operation deterministic: results never depend on thread interleaving.
 //!
-//! Two deviations from real rayon, acceptable for the workloads here and
-//! documented at the call sites that care:
+//! One deviation from real rayon, acceptable for the workloads here: `zip`
+//! and `enumerate` materialize their input (they are only applied directly
+//! to cheap sources in this workspace).
 //!
-//! * `zip` and `enumerate` materialize their input (they are only applied
-//!   directly to cheap sources in this workspace);
-//! * `par_sort_unstable` / `par_sort_by_key` require `T: Copy` (all keys
-//!   sorted in this workspace are small `Copy` tuples). Both run a parallel
-//!   **sample sort** — oversampled splitters, a stable parallel bucket
-//!   scatter, then independent per-bucket sorts — so every phase
-//!   parallelizes; there is no sequential merge. The output is the unique
-//!   stable order under the comparator, hence thread-count independent.
+//! The shim has no parallel slice sort: every sort in the workspace goes
+//! through `greedy_prims::sort::sort_by_key_parallel`.
 
 use std::cell::Cell;
-use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -640,19 +634,6 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel iterator over `&mut T`.
     fn par_iter_mut(&mut self) -> Par<std::slice::IterMut<'_, T>>;
-    /// Sorts in parallel via sample sort. The shim requires `T: Copy`
-    /// (scatter and copy-back go through a scratch buffer). The result is the
-    /// stable order, which for a total order on `T` is simply sorted order.
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord + Copy + Sync;
-    /// Stable parallel sort by a key function (sample sort; same `T: Copy`
-    /// caveat). Matches real rayon's `par_sort_by_key` stability promise.
-    fn par_sort_by_key<K, F>(&mut self, key: F)
-    where
-        T: Copy + Sync,
-        K: Ord,
-        F: Fn(&T) -> K + Sync;
 }
 
 /// Splits a mutable slice into at most `pieces` contiguous sub-slices.
@@ -677,127 +658,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
             .collect();
         Par { parts }
     }
-
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord + Copy + Sync,
-    {
-        par_sample_sort(self, |a, b| a.cmp(b));
-    }
-
-    fn par_sort_by_key<K, F>(&mut self, key: F)
-    where
-        T: Copy + Sync,
-        K: Ord,
-        F: Fn(&T) -> K + Sync,
-    {
-        par_sample_sort(self, |a, b| key(a).cmp(&key(b)));
-    }
-}
-
-/// How many candidate splitters to draw per bucket. More oversampling gives
-/// better-balanced buckets at the cost of a slightly larger (still tiny)
-/// sample sort.
-const OVERSAMPLE: usize = 16;
-
-/// Below this length a sequential stable sort beats any parallel setup.
-const SAMPLE_SORT_CUTOFF: usize = 4096;
-
-/// Stable parallel sample sort.
-///
-/// Phases, each parallel over the worker pool:
-///
-/// 1. **splitters** — `buckets × OVERSAMPLE` evenly spaced elements are
-///    sorted (they are few) and every `OVERSAMPLE`-th one becomes a splitter;
-///    evenly spaced sampling is deterministic in the input, needing no RNG.
-/// 2. **scatter** — each input part counts, then writes, its elements into
-///    per-`(bucket, part)` sub-slices of a scratch buffer, laid out
-///    bucket-major and part-minor. Parts write disjoint sub-slices (no
-///    synchronization, no `unsafe`), and walking each part in input order
-///    makes the scatter stable per bucket.
-/// 3. **per-bucket sort** — buckets are contiguous in scratch and
-///    independent, so they sort in parallel with `std`'s stable sort.
-///
-/// Elements equal under `cmp` land in the same bucket (an element's bucket is
-/// the number of splitters strictly less than it), so stable scatter +
-/// stable bucket sort + bucket concatenation is a stable sort overall. The
-/// output is therefore the unique stable order under `cmp`: identical at
-/// every thread count, even though splitters and part boundaries differ.
-fn par_sample_sort<T, C>(data: &mut [T], cmp: C)
-where
-    T: Copy + Send + Sync,
-    C: Fn(&T, &T) -> CmpOrdering + Sync,
-{
-    let len = data.len();
-    let threads = current_num_threads();
-    let buckets = threads * 2;
-    if threads <= 1 || len < SAMPLE_SORT_CUTOFF.max(buckets * OVERSAMPLE * 4) {
-        data.sort_by(|a, b| cmp(a, b));
-        return;
-    }
-
-    // Phase 1: oversampled, evenly spaced splitter candidates.
-    let step = len / (buckets * OVERSAMPLE);
-    let mut sample: Vec<T> = (0..buckets * OVERSAMPLE)
-        .map(|i| data[i * step + step / 2])
-        .collect();
-    sample.sort_by(|a, b| cmp(a, b));
-    let splitters: Vec<T> = (1..buckets).map(|b| sample[b * OVERSAMPLE]).collect();
-    let bucket_of =
-        |x: &T| -> usize { splitters.partition_point(|s| cmp(s, x) == CmpOrdering::Less) };
-
-    // Phase 2a: per-part bucket histograms.
-    let input: &[T] = data;
-    let bounds = part_bounds(len);
-    let counts: Vec<Vec<usize>> = run_parts(bounds.clone(), |(s, e)| {
-        let mut c = vec![0usize; buckets];
-        for item in &input[s..e] {
-            c[bucket_of(item)] += 1;
-        }
-        c
-    });
-
-    // Phase 2b: carve the scratch buffer into per-(bucket, part) sub-slices,
-    // bucket-major and part-minor — the exclusive scan of the count matrix,
-    // realized as disjoint slices.
-    let mut scratch: Vec<T> = input.to_vec();
-    let bucket_sizes: Vec<usize> = (0..buckets)
-        .map(|b| counts.iter().map(|c| c[b]).sum())
-        .collect();
-    let mut per_part: Vec<Vec<&mut [T]>> = (0..bounds.len())
-        .map(|_| Vec::with_capacity(buckets))
-        .collect();
-    let mut rest: &mut [T] = &mut scratch;
-    for b in 0..buckets {
-        for (part, c) in counts.iter().enumerate() {
-            let (seg, tail) = rest.split_at_mut(c[b]);
-            per_part[part].push(seg);
-            rest = tail;
-        }
-    }
-
-    // Phase 2c: scatter, each part replaying its input range in order.
-    type ScatterTask<'a, T> = ((usize, usize), Vec<&'a mut [T]>);
-    let tasks: Vec<ScatterTask<'_, T>> = bounds.into_iter().zip(per_part).collect();
-    run_parts(tasks, |((s, e), mut segs): ScatterTask<'_, T>| {
-        let mut cursor = vec![0usize; buckets];
-        for item in &input[s..e] {
-            let b = bucket_of(item);
-            segs[b][cursor[b]] = *item;
-            cursor[b] += 1;
-        }
-    });
-
-    // Phase 3: sort each bucket independently, then copy back.
-    let mut bucket_slices: Vec<&mut [T]> = Vec::with_capacity(buckets);
-    let mut rest: &mut [T] = &mut scratch;
-    for &size in &bucket_sizes {
-        let (seg, tail) = rest.split_at_mut(size);
-        bucket_slices.push(seg);
-        rest = tail;
-    }
-    run_parts(bucket_slices, |s: &mut [T]| s.sort_by(|a, b| cmp(a, b)));
-    data.copy_from_slice(&scratch);
 }
 
 /// Everything callers need in scope: the source and adapter traits.
@@ -876,76 +736,6 @@ mod tests {
         let mut v = vec![0u64; 100_000];
         v.par_iter_mut().for_each(|x| *x = 7);
         assert!(v.iter().all(|&x| x == 7));
-    }
-
-    #[test]
-    fn par_sort_matches_std() {
-        let mut a: Vec<u64> = (0..120_000u64)
-            .map(|i| i.wrapping_mul(2654435761) % 99_991)
-            .collect();
-        let mut b = a.clone();
-        a.sort_unstable();
-        b.par_sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_sort_by_key_matches_std() {
-        let mut a: Vec<(u64, u32)> = (0..80_000u64).map(|i| (i * 31 % 1000, i as u32)).collect();
-        let mut b = a.clone();
-        a.sort_by_key(|&(k, _)| k);
-        b.par_sort_by_key(|&(k, _)| k);
-        let ka: Vec<u64> = a.iter().map(|&(k, _)| k).collect();
-        let kb: Vec<u64> = b.iter().map(|&(k, _)| k).collect();
-        assert_eq!(ka, kb);
-    }
-
-    #[test]
-    fn sample_sort_is_stable_and_thread_count_independent() {
-        // Duplicate-heavy keys with distinguishable payloads: stability means
-        // the result must equal std's stable sort exactly, at every pool size.
-        let data: Vec<(u64, u32)> = (0..150_000u32)
-            .map(|i| ((i as u64 * 31) % 997, i))
-            .collect();
-        let mut expected = data.clone();
-        expected.sort_by_key(|&(k, _)| k);
-        for threads in [2usize, 3, 7] {
-            let mut got = data.clone();
-            ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| got.par_sort_by_key(|&(k, _)| k));
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sample_sort_unstable_matches_std_under_pool() {
-        let data: Vec<u64> = (0..200_000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        let mut got = data;
-        ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| got.par_sort_unstable());
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn sample_sort_all_equal_under_pool() {
-        let mut data = vec![7u64; 100_000];
-        ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| data.par_sort_unstable());
-        assert!(data.iter().all(|&x| x == 7));
-        assert_eq!(data.len(), 100_000);
     }
 
     #[test]
