@@ -9,14 +9,16 @@
 //!
 //! In `--quick` mode it additionally times the two setup-phase hot paths the
 //! sort subsystem owns — random-permutation construction and edge-list → CSR
-//! build — and writes them to `results/BENCH_quick.json`. CI uploads that
-//! file as an artifact on every run, giving future PRs a perf trajectory to
-//! compare against. Adding `--compare` diffs the fresh rows against the
-//! trajectory file's pre-run contents (the committed baseline in CI) and
-//! prints a warning — never a failure — for every throughput row that
-//! regressed by more than 25%.
+//! build — the engine's batch paths and the rayon shim's per-call fork cost
+//! (`prims_*` rows), and writes them to `results/BENCH_quick.json`. CI
+//! uploads that file as an artifact on every run, giving future PRs a perf
+//! trajectory to compare against. Adding `--compare` diffs the fresh rows
+//! against the trajectory file's pre-run contents (the committed baseline in
+//! CI) and prints a warning — never a failure — for every throughput row
+//! that regressed by more than 25%.
 
 use std::fs;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -29,6 +31,7 @@ use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
 use greedy_prims::permutation::par_random_permutation;
 use greedy_prims::random::hash64;
+use rayon::prelude::*;
 
 fn main() {
     let cfg = HarnessConfig::from_args();
@@ -150,9 +153,9 @@ struct QuickEntry {
 }
 
 /// Times the permutation and CSR-build hot paths, the batch-dynamic engine's
-/// mixed-batch and matching-heavy update paths (1 thread and the machine's
-/// full parallelism), and the flat-vs-nested membership-probe microbench,
-/// and writes `results/BENCH_quick.json`.
+/// mixed-batch and matching-heavy update paths, and the rayon shim's per-call
+/// fork cost (each at every `--threads` value), plus the membership-probe
+/// microbench, and writes `results/BENCH_quick.json`.
 ///
 /// Sizes are fixed (1M-element permutation, 100k/500k uniform graph, 1k-edge
 /// engine batches, 1M membership probes) regardless of `--scale`, so the
@@ -167,6 +170,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     let reps = cfg.reps.max(2);
     let edges = random_edge_list(CSR_N, CSR_M, cfg.seed);
     let mut entries: Vec<QuickEntry> = Vec::new();
+    let mut prims: Vec<PerCall> = Vec::new();
     for &threads in &cfg.threads {
         let (perm_time, perm) = run_on_threads(threads, || {
             time_best_of(reps, || par_random_permutation(PERM_N, cfg.seed))
@@ -234,6 +238,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: match_edges,
             seconds: secs(match_time),
         });
+        prims.extend(run_on_threads(threads, || prims_per_call(threads)));
     }
 
     // Storage-layout microbench: random membership probes against the
@@ -283,6 +288,19 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
                 e.name, e.threads, e.n, e.m, e.seconds
             )
         })
+        .chain(prims.iter().map(|p| {
+            format!(
+                "    {{\"name\": \"{}\", \"threads\": {}, \"n\": {}, \"m\": 0, \"value\": {:.3}, \
+                 \"unit\": \"us\", \"reps\": {}, \"min\": {:.3}, \"max\": {:.3}}}",
+                p.name,
+                p.threads,
+                p.n,
+                p.median(),
+                p.us.len(),
+                p.us[0],
+                p.us[p.us.len() - 1]
+            )
+        }))
         .collect();
     // Merge rather than rewrite: `serve_load` owns the `server_*` rows of
     // the same file, and neither binary may destroy the other's trajectory.
@@ -295,6 +313,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             "csr_from_edge_list",
             "engine_",
             "membership_probe",
+            "prims_",
         ],
         "run_all",
         &rows,
@@ -308,4 +327,66 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             e.seconds * 1e3
         );
     }
+    for p in &prims {
+        eprintln!(
+            "  {:>24} threads={:<2} {:>9.3} us",
+            p.name,
+            p.threads,
+            p.median()
+        );
+    }
+}
+
+/// A primitive's cost per call in microseconds, one sample per rep, sorted.
+struct PerCall {
+    name: &'static str,
+    threads: usize,
+    n: usize,
+    us: Vec<f64>,
+}
+
+impl PerCall {
+    fn median(&self) -> f64 {
+        self.us[self.us.len() / 2]
+    }
+}
+
+/// Times the shim's two fork points on the current pool: `rayon::join` of
+/// two trivial closures, and `par_iter().map().sum()` over 4,096 `u64`s.
+/// Each of `REPS` reps makes `CALLS` back-to-back calls, after as many
+/// untimed ones, and yields their mean wall time per call; the row is the
+/// median rep. At one thread both run sequentially, which is the base the
+/// parallel rows are measured against.
+fn prims_per_call(threads: usize) -> Vec<PerCall> {
+    const REPS: usize = 7;
+    const CALLS: u32 = 1_000;
+    const SUM_N: usize = 4_096;
+    let data: Vec<u64> = (0..SUM_N as u64).collect();
+    let expected: u64 = data.iter().map(|&x| x * 3).sum();
+    let sample = |name: &'static str, n: usize, op: &dyn Fn()| {
+        (0..CALLS).for_each(|_| op());
+        let mut us: Vec<f64> = (0..REPS)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                (0..CALLS).for_each(|_| op());
+                start.elapsed().as_secs_f64() * 1e6 / f64::from(CALLS)
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        PerCall {
+            name,
+            threads,
+            n,
+            us,
+        }
+    };
+    vec![
+        sample("prims_join_us", 2, &|| {
+            black_box(rayon::join(|| black_box(1u64), || black_box(2u64)));
+        }),
+        sample("prims_par_sum_4096_us", SUM_N, &|| {
+            let sum: u64 = black_box(&data).par_iter().map(|&x| x * 3).sum();
+            assert_eq!(sum, expected);
+        }),
+    ]
 }

@@ -369,7 +369,8 @@ pub fn time_best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (best, result.unwrap())
 }
 
-/// Runs `f` inside a dedicated rayon pool with `num_threads` worker threads.
+/// Runs `f` inside a dedicated rayon pool of `num_threads` threads: the
+/// calling thread plus `num_threads - 1` workers, stopped again on return.
 pub fn run_on_threads<T: Send>(num_threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(num_threads)

@@ -379,8 +379,8 @@ pub struct Checkpoint {
 }
 
 fn encode_checkpoint(round: u64, engine: &Engine) -> Vec<u8> {
-    let edge_list = engine.graph().to_edge_list();
-    let edges = edge_list.edges();
+    let graph = engine.graph();
+    let m = graph.num_edges();
     let mut out = Vec::new();
 
     let mut header = Vec::with_capacity(33);
@@ -388,15 +388,38 @@ fn encode_checkpoint(round: u64, engine: &Engine) -> Vec<u8> {
     protocol::put_u64(&mut header, round);
     protocol::put_u64(&mut header, engine.num_vertices() as u64);
     protocol::put_u64(&mut header, engine.seed());
-    protocol::put_u64(&mut header, edges.len() as u64);
+    protocol::put_u64(&mut header, m as u64);
     frame_record(&mut out, &header);
 
-    for chunk in edges.chunks(CKPT_EDGE_CHUNK.max(1)) {
-        let mut rec = Vec::with_capacity(5 + 8 * chunk.len());
+    // The canonical edge list (`u < v`, by `u` then `v`), read straight off
+    // the arena's sorted neighbor slices: building a CSR copy and an
+    // `EdgeList` first would cost two more O(m) buffers on every checkpoint.
+    let mut edges = (0..graph.num_vertices() as u32).flat_map(|u| {
+        let later = graph.neighbors(u).iter().copied().filter(move |&v| u < v);
+        later.map(move |v| (u, v))
+    });
+    let mut left = m;
+    while left > 0 {
+        let len = left.min(CKPT_EDGE_CHUNK);
+        let mut rec = Vec::with_capacity(5 + 8 * len);
         rec.push(TAG_CKPT_EDGES);
-        put_edges(&mut rec, chunk);
+        protocol::put_list_len(&mut rec, len);
+        for (u, v) in edges.by_ref().take(len) {
+            protocol::put_u32(&mut rec, u);
+            protocol::put_u32(&mut rec, v);
+        }
+        assert_eq!(
+            rec.len(),
+            5 + 8 * len,
+            "the arena holds fewer edges than it counts"
+        );
         frame_record(&mut out, &rec);
+        left -= len;
     }
+    assert!(
+        edges.next().is_none(),
+        "the arena holds more edges than it counts"
+    );
 
     for chunk in snapshot_chunks(round, &engine.server_snapshot()) {
         let mut rec = Vec::new();
@@ -920,6 +943,37 @@ mod tests {
         assert!(matches!(read_record(torn, 0), RecordRead::Damaged(_)));
         // Truncate mid-header: torn.
         assert!(matches!(read_record(&buf[..3], 0), RecordRead::Damaged(_)));
+    }
+
+    #[test]
+    fn checkpoint_edge_records_hold_the_canonical_edge_list() {
+        let base = greedy_graph::gen::random::random_graph(500, 2_000, 7);
+        let mut engine = Engine::from_graph(&base, 7);
+        // Churn leaves deleted entries and slack in the arena.
+        let mut batch = EdgeBatch::new();
+        for (i, e) in base.to_edge_list().edges().iter().enumerate() {
+            if i % 3 == 0 {
+                batch.delete(e.u, e.v);
+            }
+        }
+        for i in 0..200u32 {
+            batch.insert(i, (i * 7 + 3) % 500);
+        }
+        engine.apply_batch(&batch);
+
+        let edges = engine.graph().to_edge_list();
+        let mut expected = Vec::new();
+        let mut header = vec![TAG_CKPT_HEADER];
+        protocol::put_u64(&mut header, 9);
+        protocol::put_u64(&mut header, engine.num_vertices() as u64);
+        protocol::put_u64(&mut header, engine.seed());
+        protocol::put_u64(&mut header, edges.num_edges() as u64);
+        frame_record(&mut expected, &header);
+        let mut rec = vec![TAG_CKPT_EDGES];
+        put_edges(&mut rec, edges.edges());
+        frame_record(&mut expected, &rec);
+
+        assert!(encode_checkpoint(9, &engine).starts_with(&expected));
     }
 
     #[test]

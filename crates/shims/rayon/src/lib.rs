@@ -3,7 +3,7 @@
 //! This workspace must build in environments with no crates.io access, so the
 //! shims under `crates/shims/` provide the API subset the workspace uses.
 //! This one reimplements the rayon surface the algorithms rely on with **real
-//! data parallelism** on `std::thread::scope`:
+//! data parallelism** on a pool of persistent worker threads:
 //!
 //! * a parallel iterator ([`Par`]) over slices, mutable slices, chunks,
 //!   integer ranges, and vectors, with the adapters the workspace uses
@@ -20,9 +20,26 @@
 //! A source is split eagerly into contiguous parts (a small multiple of the
 //! effective thread count). Adapters wrap each part's *sequential* iterator
 //! lazily, so an adapter chain costs the same as the equivalent `std::iter`
-//! chain. A terminal operation distributes the parts over scoped worker
-//! threads and combines per-part results **in part order**, which keeps every
-//! operation deterministic: results never depend on thread interleaving.
+//! chain. A terminal operation hands the parts to the current pool and
+//! combines per-part results **in part order**, which keeps every operation
+//! deterministic: results never depend on thread interleaving.
+//!
+//! A pool of `t` threads is `t - 1` workers that park on a condvar between
+//! jobs, plus the thread that calls in. A terminal and a [`join`] are the
+//! only two fork points: the caller posts the job, wakes idle workers, and
+//! claims parts from the same atomic counter as they do, so it only ever
+//! waits on parts that are already running and nested parallel calls cannot
+//! deadlock. When the work is done before a worker wakes, the caller has run
+//! all of it and the fork cost no more than a lock and a wake-up. A panic in
+//! any part reaches the caller with its original payload, after every worker
+//! has left the job. Nobody spins, so an idle pool costs no CPU time.
+//!
+//! Parallel calls run on the innermost installed pool; a part running on a
+//! built pool's worker forks onto that same pool. Elsewhere they run on the
+//! global pool, which starts `available_parallelism - 1` workers on first
+//! use and keeps them for the life of the process (workers inherit the CPU
+//! affinity of the thread that starts them). A built pool owns its workers
+//! and stops them when dropped.
 //!
 //! One deviation from real rayon, acceptable for the workloads here: `zip`
 //! and `enumerate` materialize their input (they are only applied directly
@@ -31,32 +48,12 @@
 //! The shim has no parallel slice sort: every sort in the workspace goes
 //! through `greedy_prims::sort::sort_by_key_parallel`.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-// ---------------------------------------------------------------------------
-// Thread accounting and the worker driver
-// ---------------------------------------------------------------------------
+mod pool;
 
-thread_local! {
-    /// Thread count pinned by the innermost `ThreadPool::install`, if any.
-    static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The number of threads parallel operations on this thread will use: the
-/// innermost installed pool's size, or the machine's available parallelism.
-pub fn current_num_threads() -> usize {
-    POOL_THREADS
-        .with(|c| c.get())
-        .unwrap_or_else(default_threads)
-}
+use pool::run_parts;
+pub use pool::{current_num_threads, join, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
 
 /// Smallest part a source is split into; below this, splitting overhead
 /// dominates any parallel win.
@@ -69,154 +66,6 @@ fn split_count(len: usize) -> usize {
         return 1;
     }
     (threads * 4).min(len.div_ceil(MIN_PART)).max(1)
-}
-
-/// Consumes each part with `f` on a scoped worker pool and returns the
-/// per-part results in part order. Workers inherit the caller's installed
-/// pool size so nested parallel calls see the same thread budget.
-fn run_parts<I, R, F>(parts: Vec<I>, f: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(I) -> R + Sync,
-{
-    let threads = current_num_threads().min(parts.len());
-    if threads <= 1 {
-        return parts.into_iter().map(f).collect();
-    }
-    let inherited = POOL_THREADS.with(|c| c.get());
-    let n = parts.len();
-    let slots: Vec<Mutex<Option<I>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    {
-        let (f, slots, results, next) = (&f, &slots, &results, &next);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(move || {
-                    POOL_THREADS.with(|c| c.set(inherited));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let part = slots[i].lock().unwrap().take().unwrap();
-                        let r = f(part);
-                        *results[i].lock().unwrap() = Some(r);
-                    }
-                });
-            }
-        });
-    }
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().unwrap())
-        .collect()
-}
-
-/// Runs `a` and `b`, potentially in parallel, and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    let inherited = POOL_THREADS.with(|c| c.get());
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || {
-            POOL_THREADS.with(|c| c.set(inherited));
-            b()
-        });
-        let ra = a();
-        (ra, hb.join().unwrap())
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Thread pools
-// ---------------------------------------------------------------------------
-
-/// Error building a thread pool. The shim's pools cannot actually fail to
-/// build; the type exists for API compatibility.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "failed to build thread pool")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder for a [`ThreadPool`].
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// Creates a builder with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the pool's thread count; `0` means the machine default.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
-        self
-    }
-
-    /// Builds the pool.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 {
-            default_threads()
-        } else {
-            self.num_threads
-        };
-        Ok(ThreadPool { num_threads: n })
-    }
-}
-
-/// A logical thread pool: a parallelism budget that [`ThreadPool::install`]
-/// pins for the duration of a closure. Workers are spawned per operation
-/// (scoped threads), not kept alive, which is indistinguishable to callers
-/// beyond constant-factor overhead.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-/// Restores the caller's pool size when `install` unwinds or returns.
-struct PoolGuard(Option<usize>);
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        POOL_THREADS.with(|c| c.set(self.0));
-    }
-}
-
-impl ThreadPool {
-    /// Runs `op` with this pool's thread count pinned as the parallelism
-    /// budget for all parallel operations it performs.
-    pub fn install<OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce() -> R + Send,
-        R: Send,
-    {
-        let prev = POOL_THREADS.with(|c| c.replace(Some(self.num_threads)));
-        let _guard = PoolGuard(prev);
-        op()
-    }
-
-    /// This pool's thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -667,6 +516,7 @@ pub mod prelude {
 
 #[cfg(test)]
 mod tests {
+    use super::pool::default_threads;
     use super::prelude::*;
     use super::*;
 
