@@ -16,8 +16,8 @@ use greedy_core::mis::rootset::rootset_mis_with_stats;
 use greedy_core::mis::rounds::rounds_mis_with_stats;
 use greedy_core::mis::sequential::sequential_mis_with_stats;
 use greedy_core::ordering::random_permutation;
+use greedy_core::reservations::mis::reservation_mis_with_granularity;
 use greedy_core::stats::WorkStats;
-use greedy_reservations::mis::reservation_mis_with_granularity;
 
 fn main() {
     let cfg = HarnessConfig::from_args();

@@ -9,8 +9,9 @@
 //!
 //! In `--quick` mode it additionally times the two setup-phase hot paths the
 //! sort subsystem owns — random-permutation construction and edge-list → CSR
-//! build — the engine's batch paths and the rayon shim's per-call fork cost
-//! (`prims_*` rows), and writes them to `results/BENCH_quick.json`. CI
+//! build — the prefix and sequential matching kernels (`core_*` rows), the
+//! engine's batch paths and the rayon shim's per-call fork cost (`prims_*`
+//! rows), and writes them to `results/BENCH_quick.json`. CI
 //! uploads that file as an artifact on every run, giving future PRs a perf
 //! trajectory to compare against. Adding `--compare` diffs the fresh rows
 //! against the trajectory file's pre-run contents (the committed baseline in
@@ -26,6 +27,10 @@ use greedy_bench::{
     compare_quick_entries, engine_matching_heavy_batch, engine_mixed_batch, merge_quick_entries,
     read_quick_entries, run_on_threads, secs, time_best_of, HarnessConfig,
 };
+use greedy_core::matching::prefix::prefix_matching;
+use greedy_core::matching::sequential::sequential_matching;
+use greedy_core::mis::prefix::PrefixPolicy;
+use greedy_core::ordering::random_edge_permutation;
 use greedy_engine::prelude::{DynGraph, Engine};
 use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
@@ -152,10 +157,11 @@ struct QuickEntry {
     seconds: f64,
 }
 
-/// Times the permutation and CSR-build hot paths, the batch-dynamic engine's
-/// mixed-batch and matching-heavy update paths, and the rayon shim's per-call
-/// fork cost (each at every `--threads` value), plus the membership-probe
-/// microbench, and writes `results/BENCH_quick.json`.
+/// Times the permutation and CSR-build hot paths, the prefix and sequential
+/// matching kernels, the batch-dynamic engine's mixed-batch and
+/// matching-heavy update paths, and the rayon shim's per-call fork cost (each
+/// at every `--threads` value), plus the membership-probe microbench, and
+/// writes `results/BENCH_quick.json`.
 ///
 /// Sizes are fixed (1M-element permutation, 100k/500k uniform graph, 1k-edge
 /// engine batches, 1M membership probes) regardless of `--scale`, so the
@@ -169,8 +175,9 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     const ENGINE_ROUNDS: u64 = 5;
     let reps = cfg.reps.max(2);
     let edges = random_edge_list(CSR_N, CSR_M, cfg.seed);
+    let edge_pi = random_edge_permutation(edges.num_edges(), cfg.seed);
     let mut entries: Vec<QuickEntry> = Vec::new();
-    let mut prims: Vec<PerCall> = Vec::new();
+    let mut kernels: Vec<PerCall> = Vec::new();
     for &threads in &cfg.threads {
         let (perm_time, perm) = run_on_threads(threads, || {
             time_best_of(reps, || par_random_permutation(PERM_N, cfg.seed))
@@ -193,6 +200,20 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: graph.num_edges(),
             seconds: secs(csr_time),
         });
+        // The paper's matching kernel at the default 2 % prefix, beside the
+        // sequential loop whose result it must reproduce.
+        let (mut seq_mm, mut prefix_mm) = (Vec::new(), Vec::new());
+        kernels.extend(run_on_threads(threads, || {
+            let m = edges.num_edges();
+            let mut prefix =
+                || prefix_mm = prefix_matching(&edges, &edge_pi, PrefixPolicy::default());
+            let mut seq = || seq_mm = sequential_matching(&edges, &edge_pi);
+            [
+                per_call("core_prefix_matching", threads, CSR_N, m, 1, &mut prefix),
+                per_call("core_sequential_matching", threads, CSR_N, m, 1, &mut seq),
+            ]
+        }));
+        assert_eq!(prefix_mm, seq_mm, "prefix matching differs from sequential");
         // Batch-dynamic engine: a *fixed* stream of mixed batches (1k hashed
         // inserts + 500 deletes sampled from the live graph) applied to a
         // maintained 100k/500k graph; reported as mean seconds per batch.
@@ -238,7 +259,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: match_edges,
             seconds: secs(match_time),
         });
-        prims.extend(run_on_threads(threads, || prims_per_call(threads)));
+        kernels.extend(run_on_threads(threads, || prims_per_call(threads)));
     }
 
     // Storage-layout microbench: random membership probes against the
@@ -288,13 +309,14 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
                 e.name, e.threads, e.n, e.m, e.seconds
             )
         })
-        .chain(prims.iter().map(|p| {
+        .chain(kernels.iter().map(|p| {
             format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"n\": {}, \"m\": 0, \"value\": {:.3}, \
+                "    {{\"name\": \"{}\", \"threads\": {}, \"n\": {}, \"m\": {}, \"value\": {:.3}, \
                  \"unit\": \"us\", \"reps\": {}, \"min\": {:.3}, \"max\": {:.3}}}",
                 p.name,
                 p.threads,
                 p.n,
+                p.m,
                 p.median(),
                 p.us.len(),
                 p.us[0],
@@ -311,6 +333,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
         &[
             "par_random_permutation",
             "csr_from_edge_list",
+            "core_",
             "engine_",
             "membership_probe",
             "prims_",
@@ -327,7 +350,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             e.seconds * 1e3
         );
     }
-    for p in &prims {
+    for p in &kernels {
         eprintln!(
             "  {:>24} threads={:<2} {:>9.3} us",
             p.name,
@@ -337,11 +360,12 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     }
 }
 
-/// A primitive's cost per call in microseconds, one sample per rep, sorted.
+/// A kernel's cost per call in microseconds, one sample per rep, sorted.
 struct PerCall {
     name: &'static str,
     threads: usize,
     n: usize,
+    m: usize,
     us: Vec<f64>,
 }
 
@@ -351,42 +375,53 @@ impl PerCall {
     }
 }
 
-/// Times the shim's two fork points on the current pool: `rayon::join` of
-/// two trivial closures, and `par_iter().map().sum()` over 4,096 `u64`s.
-/// Each of `REPS` reps makes `CALLS` back-to-back calls, after as many
-/// untimed ones, and yields their mean wall time per call; the row is the
-/// median rep. At one thread both run sequentially, which is the base the
-/// parallel rows are measured against.
-fn prims_per_call(threads: usize) -> Vec<PerCall> {
+/// Makes `calls` untimed calls of `op`, then `REPS` reps of `calls` timed
+/// back-to-back calls each; a rep's sample is their mean wall time per call.
+fn per_call(
+    name: &'static str,
+    threads: usize,
+    n: usize,
+    m: usize,
+    calls: u32,
+    op: &mut dyn FnMut(),
+) -> PerCall {
     const REPS: usize = 7;
+    (0..calls).for_each(|_| op());
+    let mut us: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            (0..calls).for_each(|_| op());
+            start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    PerCall {
+        name,
+        threads,
+        n,
+        m,
+        us,
+    }
+}
+
+/// Times the shim's two fork points on the current pool: `rayon::join` of
+/// two trivial closures, and `par_iter().map().sum()` over 4,096 `u64`s,
+/// 1,000 calls per rep; the row is the median rep. At one thread both run
+/// sequentially, which is the base the parallel rows are measured against.
+fn prims_per_call(threads: usize) -> Vec<PerCall> {
     const CALLS: u32 = 1_000;
     const SUM_N: usize = 4_096;
     let data: Vec<u64> = (0..SUM_N as u64).collect();
     let expected: u64 = data.iter().map(|&x| x * 3).sum();
-    let sample = |name: &'static str, n: usize, op: &dyn Fn()| {
-        (0..CALLS).for_each(|_| op());
-        let mut us: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                (0..CALLS).for_each(|_| op());
-                start.elapsed().as_secs_f64() * 1e6 / f64::from(CALLS)
-            })
-            .collect();
-        us.sort_by(f64::total_cmp);
-        PerCall {
-            name,
-            threads,
-            n,
-            us,
-        }
+    let mut join = || {
+        black_box(rayon::join(|| black_box(1u64), || black_box(2u64)));
+    };
+    let mut sum = || {
+        let sum: u64 = black_box(&data).par_iter().map(|&x| x * 3).sum();
+        assert_eq!(sum, expected);
     };
     vec![
-        sample("prims_join_us", 2, &|| {
-            black_box(rayon::join(|| black_box(1u64), || black_box(2u64)));
-        }),
-        sample("prims_par_sum_4096_us", SUM_N, &|| {
-            let sum: u64 = black_box(&data).par_iter().map(|&x| x * 3).sum();
-            assert_eq!(sum, expected);
-        }),
+        per_call("prims_join_us", threads, 2, 0, CALLS, &mut join),
+        per_call("prims_par_sum_4096_us", threads, SUM_N, 0, CALLS, &mut sum),
     ]
 }

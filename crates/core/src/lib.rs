@@ -32,6 +32,15 @@
 //! [`matching::rootset::rootset_matching`], plus the line-graph reduction
 //! [`matching::reduction::matching_via_line_graph`] used as a test oracle.
 //!
+//! ## Deterministic reservations
+//!
+//! [`reservations`] holds the deterministic-reservations driver
+//! ([`reservations::speculative_for::speculative_for`]) that
+//! [`matching::prefix::prefix_matching`] runs on, its write-with-min cells,
+//! and the reservation-based MIS and matching backends
+//! ([`reservations::mis::reservation_mis`],
+//! [`reservations::matching::reservation_matching`]).
+//!
 //! ## Analysis
 //!
 //! [`analysis`] measures the quantities the paper's theory bounds: the
@@ -59,6 +68,7 @@ pub mod dag;
 pub mod matching;
 pub mod mis;
 pub mod ordering;
+pub mod reservations;
 pub mod stats;
 
 /// Commonly used items.

@@ -1,20 +1,37 @@
 //! The prefix-based parallel greedy maximal matching.
 //!
-//! The edge-side analogue of Algorithm 3: each round takes the next prefix of
-//! edges in priority order, resolves it with parallel greedy steps (an edge
-//! is accepted once every earlier adjacent edge is decided), then knocks out
-//! the later edges that share an endpoint with the newly accepted ones.
-//! Smaller prefixes do less redundant work; larger prefixes expose more
-//! parallelism; the matching is identical to the sequential greedy one for
-//! every prefix size. This is the implementation benchmarked in Figure 2 and
-//! Figure 4 of the paper.
+//! The edge-side analogue of Algorithm 3, run as the matching instance of
+//! the deterministic-reservations driver
+//! ([`crate::reservations::speculative_for`]). Each round takes the next
+//! prefix of edges in priority order and resolves it with reserve/commit
+//! steps. In **reserve**, an edge with a matched endpoint is out and
+//! finishes; any other edge writes its rank into both endpoints' cells with
+//! a write-with-min. In **commit**, an edge that holds both cells joins the
+//! matching; one that lost a cell frees the cell it holds and retries. The
+//! earliest unfinished edge always holds both cells, and an edge joins
+//! exactly when every earlier adjacent edge is out — the sequential greedy
+//! rule — so the matching is the sequential one for every prefix size and
+//! thread count, and one attempt reads two cells and no adjacency. This is
+//! the implementation benchmarked in Figures 2 and 4 of the paper.
+//!
+//! The counters of [`prefix_matching_with_stats`], which depend only on the
+//! input, the order and the policy, and at `PrefixPolicy::Fixed(1)` equal
+//! the sequential algorithm's:
+//!
+//! * `rounds` — prefixes;
+//! * `steps` — reserve/commit steps, summed over prefixes;
+//! * `vertex_work` — reservation attempts: one per unfinished edge per step;
+//! * `edge_work` — endpoint cells read: two per attempt, as
+//!   [`crate::matching::sequential::sequential_matching_with_stats`] counts
+//!   two endpoint reads per edge.
 
-use greedy_graph::edge_list::EdgeList;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+
+use greedy_graph::edge_list::{Edge, EdgeList};
 use greedy_prims::permutation::Permutation;
-use rayon::prelude::*;
 
-use crate::matching::{collect_in_edges, EdgeState};
 use crate::mis::prefix::PrefixPolicy;
+use crate::reservations::speculative_for::{speculative_prefixes, ReservationStep};
 use crate::stats::WorkStats;
 
 /// Runs the prefix-based parallel greedy maximal matching. Returns the same
@@ -24,9 +41,71 @@ pub fn prefix_matching(edges: &EdgeList, pi: &Permutation, policy: PrefixPolicy)
     prefix_matching_with_stats(edges, pi, policy).0
 }
 
-/// Runs the prefix-based matching with counters: `rounds` = prefixes,
-/// `steps` = inner steps, `vertex_work` = edge examinations, `edge_work` =
-/// adjacency inspections.
+/// A vertex cell that no edge has reserved in the current step.
+const FREE: u32 = u32::MAX;
+/// A vertex cell of a matched vertex. No rank equals it or [`FREE`]
+/// (`m < MATCHED` is asserted), so a commit comparing a cell with its own
+/// rank cannot mistake either for its reservation.
+const MATCHED: u32 = u32::MAX - 1;
+
+/// The matching's loop body: iterate `i` is the edge of rank `i`. No cell
+/// becomes [`MATCHED`] during a reserve phase, and during a commit phase
+/// only the rank a cell holds writes it while every other edge compares it
+/// with its own rank; so no decision depends on the schedule.
+struct MatchingStep<'a> {
+    edges: &'a [Edge],
+    /// rank → edge id.
+    order: &'a [u32],
+    /// One cell per vertex: [`FREE`], [`MATCHED`], or a reserving rank.
+    cells: Vec<AtomicU32>,
+    /// The matching, as a bitset over edge ids.
+    in_matching: Vec<AtomicU64>,
+}
+
+impl MatchingStep<'_> {
+    fn endpoints(&self, i: usize) -> (&AtomicU32, &AtomicU32) {
+        let e = self.edges[self.order[i] as usize];
+        (&self.cells[e.u as usize], &self.cells[e.v as usize])
+    }
+}
+
+impl ReservationStep for MatchingStep<'_> {
+    fn reserve(&self, i: usize) -> bool {
+        let (u, v) = self.endpoints(i);
+        if u.load(Relaxed) == MATCHED || v.load(Relaxed) == MATCHED {
+            return false;
+        }
+        u.fetch_min(i as u32, Relaxed);
+        v.fetch_min(i as u32, Relaxed);
+        true
+    }
+
+    fn commit(&self, i: usize) -> bool {
+        let (u, v) = self.endpoints(i);
+        let (holds_u, holds_v) = (u.load(Relaxed) == i as u32, v.load(Relaxed) == i as u32);
+        if holds_u && holds_v {
+            u.store(MATCHED, Relaxed);
+            v.store(MATCHED, Relaxed);
+            let e = self.order[i] as usize;
+            self.in_matching[e / 64].fetch_or(1 << (e % 64), Relaxed);
+            return true;
+        }
+        if holds_u {
+            u.store(FREE, Relaxed);
+        }
+        if holds_v {
+            v.store(FREE, Relaxed);
+        }
+        false
+    }
+}
+
+/// Runs the prefix-based matching with counters (see the module docs):
+/// `rounds` = prefixes, `steps` = reserve/commit steps, `vertex_work` =
+/// reservation attempts, `edge_work` = endpoint cells read (two per attempt).
+///
+/// # Panics
+/// Panics if `pi.len() != edges.num_edges()`.
 pub fn prefix_matching_with_stats(
     edges: &EdgeList,
     pi: &Permutation,
@@ -40,142 +119,40 @@ pub fn prefix_matching_with_stats(
         pi.len(),
         m
     );
-    let rank = pi.rank();
-    let order = pi.order();
-    let incidence = edges.incidence_lists();
-    // The "maximum degree" knob for the adaptive policy is the maximum number
-    // of edges adjacent to any single edge, bounded by twice the maximum
-    // vertex degree.
-    let max_edge_degree = 2 * edges.max_degree() as usize;
-
-    let mut state = vec![EdgeState::Undecided; m];
-    // A vertex is saturated once one of its edges is matched; saturation is
-    // what knocks later edges out lazily.
-    let mut vertex_matched = vec![false; edges.num_vertices()];
-    let mut stats = WorkStats::new();
-    let mut start = 0usize;
-
-    let adjacent = |e: u32| {
-        let edge = edges.edge(e as usize);
-        incidence[edge.u as usize]
-            .iter()
-            .chain(incidence[edge.v as usize].iter())
-            .copied()
-            .filter(move |&f| f != e)
+    assert!(m < MATCHED as usize, "prefix_matching: too many edges");
+    // Only the adaptive policy reads the maximum number of edges adjacent to
+    // one edge (bounded by twice the maximum vertex degree); skip that O(m)
+    // pass otherwise.
+    let max_edge_degree = match policy {
+        PrefixPolicy::Adaptive { .. } => 2 * edges.max_degree() as usize,
+        _ => 0,
     };
+    let step = MatchingStep {
+        edges: edges.edges(),
+        order: pi.order(),
+        cells: (0..edges.num_vertices())
+            .map(|_| AtomicU32::new(FREE))
+            .collect(),
+        in_matching: (0..m.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+    };
+    let mut stats = speculative_prefixes(&step, m, policy, max_edge_degree);
+    stats.edge_work = 2 * stats.vertex_work;
 
-    while start < m {
-        let remaining = m - start;
-        let k = policy.prefix_size(m, remaining, max_edge_degree, stats.rounds);
-        let prefix = &order[start..start + k];
-        stats.rounds += 1;
-
-        // Lazy status update: an edge whose endpoint is already saturated is
-        // knocked out as it enters its prefix.
-        let mut active: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&e| {
-                if state[e as usize] != EdgeState::Undecided {
-                    return false;
-                }
-                let edge = edges.edge(e as usize);
-                if vertex_matched[edge.u as usize] || vertex_matched[edge.v as usize] {
-                    state[e as usize] = EdgeState::Out;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        // Work accounting (paper normalization): edges already decided when
-        // their prefix arrives are charged one examination here; the active
-        // ones are charged per inner step below, so prefix size 1 gives
-        // exactly m units of work like the sequential algorithm.
-        stats.vertex_work += (prefix.len() - active.len()) as u64;
-
-        // Parallel greedy steps within the prefix. Every earlier edge outside
-        // the prefix is already decided, so an active edge only waits on
-        // earlier edges inside the prefix.
-        while !active.is_empty() {
-            stats.steps += 1;
-            stats.vertex_work += active.len() as u64;
-
-            let decisions: Vec<EdgeState> = active
-                .par_iter()
-                .map(|&e| {
-                    let mut has_undecided_earlier = false;
-                    for f in adjacent(e) {
-                        if rank[f as usize] < rank[e as usize] {
-                            match state[f as usize] {
-                                EdgeState::In => return EdgeState::Out,
-                                EdgeState::Undecided => has_undecided_earlier = true,
-                                EdgeState::Out => {}
-                            }
-                        }
-                    }
-                    if has_undecided_earlier {
-                        EdgeState::Undecided
-                    } else {
-                        EdgeState::In
-                    }
-                })
-                .collect();
-            stats.edge_work += active
-                .par_iter()
-                .map(|&e| adjacent(e).count() as u64)
-                .sum::<u64>();
-
-            let mut next_active = Vec::with_capacity(active.len());
-            for (i, &e) in active.iter().enumerate() {
-                match decisions[i] {
-                    EdgeState::Undecided => next_active.push(e),
-                    s => state[e as usize] = s,
-                }
-            }
-            assert!(
-                next_active.len() < active.len(),
-                "prefix_matching: no progress within a prefix step"
-            );
-            active = next_active;
+    let mut matching = Vec::new();
+    for (w, word) in step.in_matching.into_iter().enumerate() {
+        let mut bits = word.into_inner();
+        while bits != 0 {
+            matching.push((64 * w) as u32 + bits.trailing_zeros());
+            bits &= bits - 1;
         }
-
-        // Saturate the endpoints of the newly matched edges and knock out
-        // their still-undecided later neighbors.
-        let newly_in: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&e| state[e as usize] == EdgeState::In)
-            .collect();
-        for &e in &newly_in {
-            let edge = edges.edge(e as usize);
-            vertex_matched[edge.u as usize] = true;
-            vertex_matched[edge.v as usize] = true;
-        }
-        let knocked: Vec<u32> = newly_in
-            .par_iter()
-            .flat_map_iter(|&e| adjacent(e).filter(move |&f| rank[f as usize] > rank[e as usize]))
-            .collect();
-        stats.edge_work += newly_in
-            .par_iter()
-            .map(|&e| adjacent(e).count() as u64)
-            .sum::<u64>();
-        for f in knocked {
-            if state[f as usize] == EdgeState::Undecided {
-                state[f as usize] = EdgeState::Out;
-            }
-        }
-
-        start += k;
     }
-
-    (collect_in_edges(&state), stats)
+    (matching, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::sequential::sequential_matching;
+    use crate::matching::sequential::{sequential_matching, sequential_matching_with_stats};
     use crate::matching::verify::verify_maximal_matching;
     use crate::ordering::{identity_permutation, random_edge_permutation};
     use greedy_graph::gen::random::random_edge_list;
@@ -258,6 +235,7 @@ mod tests {
         let (_, stats) = prefix_matching_with_stats(&el, &pi, PrefixPolicy::Fixed(1));
         assert_eq!(stats.rounds, el.num_edges() as u64);
         assert_eq!(stats.vertex_work, el.num_edges() as u64);
+        assert_eq!(stats, sequential_matching_with_stats(&el, &pi).1);
     }
 
     #[test]

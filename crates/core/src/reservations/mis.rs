@@ -1,24 +1,32 @@
 //! MIS as a deterministic-reservations loop.
 //!
-//! The loop body for iterate `i` (the vertex with priority rank `i`): look at
-//! the earlier neighbors; if any is in the MIS the vertex is out, if any is
-//! still undecided the iterate retries next round, otherwise the vertex joins
-//! the MIS. No reservation cell is needed — the decision is owner-written —
-//! so `reserve` is a no-op and all the logic sits in `commit`. This is the
-//! MIS plug-in of the PBBS deterministic-reservations benchmark, and it
-//! returns exactly the lexicographically-first MIS.
+//! The loop body for iterate `i` (the vertex with priority rank `i`) decides
+//! in `reserve` and publishes in `commit`. In `reserve` it looks at the
+//! earlier neighbors: if any is in the MIS the vertex is out, if any is
+//! still undecided the iterate retries in the next step, otherwise the
+//! vertex joins the MIS. `commit` then publishes the decision. No
+//! reservation cell is needed — the decision is owner-written — and since a
+//! decision reads only states that earlier commit phases published, every
+//! step, and every counter, is independent of the schedule. This is the MIS
+//! plug-in of the PBBS deterministic-reservations benchmark, and it returns
+//! exactly the lexicographically-first MIS.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
-use greedy_core::stats::WorkStats;
 use greedy_graph::csr::Graph;
 use greedy_prims::permutation::Permutation;
 
-use crate::speculative_for::{speculative_for, ReservationStep};
+use crate::reservations::speculative_for::{speculative_for, ReservationStep};
+use crate::stats::WorkStats;
 
+// Published states, read by later neighbors.
 const UNDECIDED: u8 = 0;
 const IN_MIS: u8 = 1;
 const OUT: u8 = 2;
+// Decided in this step's reserve phase, published by its commit phase;
+// later neighbors read both as undecided.
+const JOINS: u8 = 3;
+const LEAVES: u8 = 4;
 
 struct MisStep<'a> {
     graph: &'a Graph,
@@ -30,39 +38,39 @@ struct MisStep<'a> {
 }
 
 impl ReservationStep for MisStep<'_> {
-    fn reserve(&self, _i: usize) -> bool {
+    fn reserve(&self, i: usize) -> bool {
+        let v = self.order[i];
+        let mut decision = JOINS;
+        for &w in self.graph.neighbors(v) {
+            if self.rank[w as usize] < i as u32 {
+                match self.state[w as usize].load(Relaxed) {
+                    IN_MIS => {
+                        decision = LEAVES;
+                        break;
+                    }
+                    OUT => {}
+                    _ => decision = UNDECIDED,
+                }
+            }
+        }
+        self.state[v as usize].store(decision, Relaxed);
         true
     }
 
     fn commit(&self, i: usize) -> bool {
-        let v = self.order[i];
-        let my_rank = self.rank[v as usize];
-        let mut blocked = false;
-        for &w in self.graph.neighbors(v) {
-            if self.rank[w as usize] < my_rank {
-                match self.state[w as usize].load(Ordering::SeqCst) {
-                    IN_MIS => {
-                        self.state[v as usize].store(OUT, Ordering::SeqCst);
-                        return true;
-                    }
-                    UNDECIDED => blocked = true,
-                    _ => {}
-                }
-            }
+        let state = &self.state[self.order[i] as usize];
+        match state.load(Relaxed) {
+            JOINS => state.store(IN_MIS, Relaxed),
+            LEAVES => state.store(OUT, Relaxed),
+            _ => return false,
         }
-        if blocked {
-            false
-        } else {
-            self.state[v as usize].store(IN_MIS, Ordering::SeqCst);
-            true
-        }
+        true
     }
 }
 
 /// Computes the lexicographically-first MIS with the deterministic
-/// reservations framework, processing `granularity` pending vertices per
-/// round. Identical output to
-/// [`greedy_core::mis::sequential::sequential_mis`].
+/// reservations framework, in prefixes of `granularity` vertices. Identical
+/// output to [`crate::mis::sequential::sequential_mis`].
 pub fn reservation_mis_with_granularity(
     graph: &Graph,
     pi: &Permutation,
@@ -87,7 +95,7 @@ pub fn reservation_mis_with_granularity(
         .state
         .iter()
         .enumerate()
-        .filter_map(|(v, s)| (s.load(Ordering::SeqCst) == IN_MIS).then_some(v as u32))
+        .filter_map(|(v, s)| (s.load(Relaxed) == IN_MIS).then_some(v as u32))
         .collect();
     (mis, stats)
 }
@@ -102,9 +110,9 @@ pub fn reservation_mis(graph: &Graph, pi: &Permutation) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greedy_core::mis::sequential::sequential_mis;
-    use greedy_core::mis::verify::verify_mis;
-    use greedy_core::ordering::{identity_permutation, random_permutation};
+    use crate::mis::sequential::sequential_mis;
+    use crate::mis::verify::verify_mis;
+    use crate::ordering::{identity_permutation, random_permutation};
     use greedy_graph::gen::random::random_graph;
     use greedy_graph::gen::rmat::rmat_graph;
     use greedy_graph::gen::structured::{complete_graph, cycle_graph, path_graph, star_graph};

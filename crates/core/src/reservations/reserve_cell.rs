@@ -3,10 +3,15 @@
 //! A [`ReserveCell`] holds the smallest priority written to it since the last
 //! reset — the shared-memory realization of the CRCW PRAM "priority write"
 //! the paper assumes. Iterates reserve a resource by writing their own
-//! priority; after all reservations of a round are in, the iterate whose
-//! priority the cell still holds owns the resource for that round.
+//! priority; after all reservations of a phase are in, the iterate whose
+//! priority the cell still holds owns the resource for that step.
+//!
+//! The cells use `Relaxed` atomics: the driver's phase boundaries order a
+//! phase's writes before the next phase's reads (see
+//! [`crate::reservations::speculative_for`]), and within a phase a cell
+//! needs only its own modification order.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Sentinel meaning "no reservation".
 pub const EMPTY: u64 = u64::MAX;
@@ -34,24 +39,12 @@ impl ReserveCell {
     /// Attempts to reserve with `priority` (smaller wins). Returns `true` if
     /// this call lowered the cell's value.
     pub fn reserve(&self, priority: u64) -> bool {
-        let mut current = self.value.load(Ordering::SeqCst);
-        while priority < current {
-            match self.value.compare_exchange_weak(
-                current,
-                priority,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-        false
+        self.value.fetch_min(priority, Relaxed) > priority
     }
 
     /// The currently held (smallest) priority, or [`EMPTY`].
     pub fn current(&self) -> u64 {
-        self.value.load(Ordering::SeqCst)
+        self.value.load(Relaxed)
     }
 
     /// True if `priority` holds the reservation.
@@ -59,9 +52,9 @@ impl ReserveCell {
         self.current() == priority
     }
 
-    /// Clears the reservation (used between rounds).
+    /// Clears the reservation (used between steps).
     pub fn reset(&self) {
-        self.value.store(EMPTY, Ordering::SeqCst);
+        self.value.store(EMPTY, Relaxed);
     }
 }
 

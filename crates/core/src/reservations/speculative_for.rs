@@ -1,46 +1,62 @@
 //! The `speculative_for` deterministic-reservations loop.
 //!
 //! A greedy sequential loop `for i in 0..n { body(i) }` whose iterations may
-//! conflict is parallelized by processing prefixes of the *remaining*
-//! iterates: each round, every pending iterate in the prefix runs a
-//! [`ReservationStep::reserve`] phase (claiming the shared state it needs via
-//! priority writes), a barrier, then a [`ReservationStep::commit`] phase
-//! (checking it still holds its claims and applying its update). Iterates
-//! whose commit fails are carried into the next round, *ahead of* fresh
-//! iterates, so the effective processing order is always the original one —
-//! which is what makes the result identical to the sequential loop.
+//! conflict is parallelized with the schedule of the paper's Algorithm 3:
+//! take the next prefix of the iterates, then run *steps* over its
+//! unfinished iterates until every one has finished. A step is a
+//! [`ReservationStep::reserve`] phase (each iterate claims the shared state
+//! it needs via priority writes), a barrier, then a
+//! [`ReservationStep::commit`] phase (each iterate checks it still holds its
+//! claims and applies its update). Priority writes resolve in iterate order,
+//! so the earliest unfinished iterate always wins, and the result is
+//! identical to the sequential loop's.
 //!
-//! The prefix size is the same work/parallelism dial as in the paper's
-//! Algorithm 3: size 1 is the sequential loop; the full range is the maximally
+//! The prefix size is the same work/parallelism dial as in Algorithm 3:
+//! size 1 is the sequential loop; the full range is the maximally
 //! speculative loop.
+//!
+//! # Memory ordering
+//!
+//! Each phase is one parallel terminal of the rayon shim, and a terminal
+//! returns only after every helper thread has left its job: a helper
+//! records its exit under the pool's `state` mutex, and the caller checks
+//! for it under the same mutex (`Pool::retire` in the shim). Every write of
+//! one phase therefore happens-before every read of the next, so a step's
+//! shared state may use `Relaxed` atomics: within a phase it needs only
+//! each cell's own modification order.
 
 use rayon::prelude::*;
 
-use greedy_core::stats::WorkStats;
+use crate::mis::prefix::PrefixPolicy;
+use crate::stats::WorkStats;
 
 /// One speculative loop body. `i` is the iterate index in the *sequential*
 /// order (0 = highest priority). Implementations use interior mutability
-/// (atomics / [`crate::reserve_cell::ReserveCell`]) for shared state.
+/// (atomics / [`crate::reservations::reserve_cell::ReserveCell`]) for shared
+/// state. The schedule cannot change a step's decisions, nor the driver's
+/// counters, if no phase reads what another iterate writes in that same
+/// phase, apart from priority cells whose winner is already fixed.
 pub trait ReservationStep: Sync {
-    /// Phase 1 of a round: attempt to reserve whatever iterate `i` needs.
-    /// Returning `false` means the iterate already knows it cannot commit
-    /// this round (it will be retried next round without committing).
+    /// Phase 1 of a step: reserve whatever iterate `i` needs. Returning
+    /// `false` means the iterate is finished: it has nothing left to do, and
+    /// its `commit` is not called.
     fn reserve(&self, i: usize) -> bool;
 
-    /// Phase 2 of a round: check the reservations and apply the update.
+    /// Phase 2 of a step: check the reservations and apply the update.
     /// Returning `true` means iterate `i` is finished (successfully or
     /// because it discovered it has nothing to do); `false` means retry in
-    /// the next round.
+    /// the next step.
     fn commit(&self, i: usize) -> bool;
 }
 
-/// Runs iterates `0..num_iterates` of `step` with deterministic reservations,
-/// processing `granularity` pending iterates per round. Returns round/work
-/// counters (`rounds` = rounds executed, `vertex_work` = iterate executions,
-/// i.e. reserve+commit attempts).
+/// Runs iterates `0..num_iterates` of `step` with deterministic
+/// reservations, in prefixes of `granularity` iterates: the driver at
+/// [`PrefixPolicy::Fixed`]`(granularity)`. Returns its counters (`rounds` =
+/// prefixes, `steps` = reserve/commit steps, `vertex_work` = reservation
+/// attempts, summed over steps).
 ///
 /// # Panics
-/// Panics if `granularity == 0`, or if a round makes no progress (which would
+/// Panics if `granularity == 0`, or if a step makes no progress (which would
 /// mean the `ReservationStep` implementation can livelock).
 pub fn speculative_for<S: ReservationStep>(
     step: &S,
@@ -51,47 +67,55 @@ pub fn speculative_for<S: ReservationStep>(
         granularity > 0,
         "speculative_for: granularity must be positive"
     );
+    speculative_prefixes(step, num_iterates, PrefixPolicy::Fixed(granularity), 0)
+}
+
+/// Marks an iterate of the step buffer as finished.
+const FINISHED: usize = 1 << (usize::BITS - 1);
+
+/// The driver: runs iterates `0..num_iterates` of `step` in the prefixes
+/// `policy` chooses (`max_degree` feeds [`PrefixPolicy::Adaptive`]), with the
+/// counters of [`speculative_for`].
+pub(crate) fn speculative_prefixes<S: ReservationStep>(
+    step: &S,
+    num_iterates: usize,
+    policy: PrefixPolicy,
+    max_degree: usize,
+) -> WorkStats {
+    assert!(
+        num_iterates < FINISHED,
+        "speculative_for: too many iterates"
+    );
     let mut stats = WorkStats::new();
-    // Pending iterates carried over from the previous round, in priority order.
+    // The unfinished iterates of the current prefix, in priority order. One
+    // buffer serves every step of every prefix.
     let mut pending: Vec<usize> = Vec::new();
-    // Next fresh iterate not yet issued.
-    let mut next = 0usize;
-
-    while !pending.is_empty() || next < num_iterates {
+    let mut start = 0usize;
+    while start < num_iterates {
+        let k = policy.prefix_size(num_iterates, num_iterates - start, max_degree, stats.rounds);
         stats.rounds += 1;
-        stats.steps += 1;
-
-        // This round's prefix: carried-over iterates first (they are the
-        // earliest), topped up with fresh ones to `granularity`.
-        let fresh = granularity
-            .saturating_sub(pending.len())
-            .min(num_iterates - next);
-        let mut round: Vec<usize> = Vec::with_capacity(pending.len() + fresh);
-        round.append(&mut pending);
-        round.extend(next..next + fresh);
-        next += fresh;
-        stats.vertex_work += round.len() as u64;
-
-        // Phase 1: reserve.
-        let reserved: Vec<bool> = round.par_iter().map(|&i| step.reserve(i)).collect();
-        // Phase 2: commit (only iterates whose reserve succeeded commit this
-        // round; the rest are retried).
-        let done: Vec<bool> = round
-            .par_iter()
-            .zip(reserved.par_iter())
-            .map(|(&i, &r)| if r { step.commit(i) } else { false })
-            .collect();
-
-        let before = round.len();
-        pending = round
-            .into_iter()
-            .zip(done)
-            .filter_map(|(i, d)| (!d).then_some(i))
-            .collect();
-        assert!(
-            pending.len() < before || before == 0,
-            "speculative_for: no progress in a round — the step implementation livelocks"
-        );
+        pending.extend(start..start + k);
+        start += k;
+        while !pending.is_empty() {
+            stats.steps += 1;
+            stats.vertex_work += pending.len() as u64;
+            pending.par_iter_mut().for_each(|i| {
+                if !step.reserve(*i) {
+                    *i |= FINISHED;
+                }
+            });
+            pending.par_iter_mut().for_each(|i| {
+                if *i & FINISHED == 0 && step.commit(*i) {
+                    *i |= FINISHED;
+                }
+            });
+            let before = pending.len();
+            pending.retain(|&i| i & FINISHED == 0);
+            assert!(
+                pending.len() < before,
+                "speculative_for: no progress in a step — the step implementation livelocks"
+            );
+        }
     }
     stats
 }

@@ -95,21 +95,27 @@ mod tests {
         // over capacity), and once the pushers are joined the ring holds
         // exactly the last `capacity` records pushed.
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
 
         const CAP: usize = 64;
         const PUSHERS: u64 = 4;
         const PER: u64 = 2_000;
+        const READERS: usize = 3;
         let r = Arc::new(FlightRecorder::new(CAP));
         let stop = Arc::new(AtomicBool::new(false));
+        // Every reader makes its first observation before any pusher
+        // starts, so none can miss the ring by starting after the pushers
+        // finish.
+        let started = Arc::new(Barrier::new(READERS + 1));
 
-        let readers: Vec<_> = (0..3)
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let r = r.clone();
                 let stop = stop.clone();
+                let started = started.clone();
                 std::thread::spawn(move || {
                     let mut views = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    let mut observe = || {
                         let view: Vec<(u64, u64)> = r.recent();
                         assert!(view.len() <= CAP, "ring exceeded capacity");
                         // Per-pusher sequence numbers must come out strictly
@@ -127,11 +133,17 @@ mod tests {
                             );
                         }
                         views += 1;
+                    };
+                    observe();
+                    started.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        observe();
                     }
                     views
                 })
             })
             .collect();
+        started.wait();
         let pushers: Vec<_> = (0..PUSHERS)
             .map(|p| {
                 let r = r.clone();

@@ -10,9 +10,9 @@
 //! * [`greedy_graph`] — graph substrate: CSR graphs, generators, line graphs, I/O.
 //! * [`greedy_core`] — the paper's algorithms: sequential greedy MIS/MM,
 //!   parallel-rounds, prefix-based, linear-work root-set implementations, the
-//!   Luby baseline, verifiers, and dependence-length analysis.
-//! * [`greedy_reservations`] — the deterministic-reservations
-//!   (`speculative_for`) framework and reservation-based MIS/MM backends.
+//!   Luby baseline, verifiers, dependence-length analysis, and the
+//!   deterministic-reservations (`speculative_for`) framework with its
+//!   reservation-based MIS/MM backends.
 //! * [`greedy_apps`] — applications: graph coloring, task scheduling,
 //!   vertex cover, spanning forest.
 //! * [`greedy_engine`] — batch-dynamic maintenance of greedy MIS/matching
@@ -47,7 +47,6 @@ pub use greedy_core;
 pub use greedy_engine;
 pub use greedy_graph;
 pub use greedy_prims;
-pub use greedy_reservations;
 pub use greedy_server;
 
 /// Commonly used items, re-exported for convenience.
@@ -70,6 +69,9 @@ pub mod prelude {
     pub use greedy_core::mis::sequential::sequential_mis;
     pub use greedy_core::mis::verify::{verify_mis, verify_same_set};
     pub use greedy_core::ordering::{random_edge_permutation, random_permutation};
+    pub use greedy_core::reservations::matching::reservation_matching;
+    pub use greedy_core::reservations::mis::reservation_mis;
+    pub use greedy_core::reservations::speculative_for::{speculative_for, ReservationStep};
     pub use greedy_core::stats::WorkStats;
     pub use greedy_engine::prelude::{
         BatchReport, DynGraph, EdgeBatch, Engine, EngineStats, ServerSnapshot, Snapshot,
@@ -82,7 +84,4 @@ pub mod prelude {
         complete_graph, cycle_graph, grid_graph, path_graph, star_graph,
     };
     pub use greedy_prims::permutation::Permutation;
-    pub use greedy_reservations::matching::reservation_matching;
-    pub use greedy_reservations::mis::reservation_mis;
-    pub use greedy_reservations::speculative_for::{speculative_for, ReservationStep};
 }

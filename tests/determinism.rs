@@ -96,6 +96,41 @@ fn sweep_threads() -> Vec<usize> {
     t
 }
 
+/// The work counters of the reservation-style solvers depend only on the
+/// input, the order and the prefix size: every step decides from what the
+/// previous phase published, never from a write racing in the same phase.
+#[test]
+fn work_counters_are_thread_count_independent() {
+    use greedy_core::reservations::matching::reservation_matching_with_granularity;
+    use greedy_core::reservations::mis::reservation_mis_with_granularity;
+
+    let graph = random_graph(20_000, 100_000, 29);
+    let edges = graph.to_edge_list();
+    let pi = random_permutation(graph.num_vertices(), 30);
+    let edge_pi = random_edge_permutation(edges.num_edges(), 31);
+    let counters = || {
+        let mut stats = vec![
+            prefix_matching_with_stats(&edges, &edge_pi, PrefixPolicy::default()).1,
+            prefix_matching_with_stats(&edges, &edge_pi, PrefixPolicy::Fixed(64)).1,
+        ];
+        for granularity in [2_000, 20_000] {
+            stats.push(reservation_matching_with_granularity(&edges, &edge_pi, granularity).1);
+            stats.push(reservation_mis_with_granularity(&graph, &pi, granularity).1);
+        }
+        stats
+    };
+    let reference = in_pool(1, counters);
+    for threads in sweep_threads() {
+        for _ in 0..5 {
+            assert_eq!(
+                in_pool(threads, counters),
+                reference,
+                "work counters changed with {threads} threads"
+            );
+        }
+    }
+}
+
 #[test]
 fn par_random_permutation_is_byte_identical_across_thread_counts() {
     let reference = in_pool(1, || {

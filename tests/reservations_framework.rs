@@ -7,9 +7,9 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use greedy_core::reservations::reserve_cell::ReserveTable;
+use greedy_core::reservations::speculative_for::{speculative_for, ReservationStep};
 use greedy_parallel::prelude::*;
-use greedy_reservations::reserve_cell::ReserveTable;
-use greedy_reservations::speculative_for::{speculative_for, ReservationStep};
 
 /// Greedy bucket claiming: item `i` wants bucket `want[i]`; processing items
 /// in order, an item gets its bucket iff no earlier item already took it.
