@@ -9,9 +9,10 @@
 //!
 //! In `--quick` mode it additionally times the two setup-phase hot paths the
 //! sort subsystem owns — random-permutation construction and edge-list → CSR
-//! build — the prefix and sequential matching kernels (`core_*` rows), the
-//! engine's batch paths and the rayon shim's per-call fork cost (`prims_*`
-//! rows), and writes them to `results/BENCH_quick.json`. CI
+//! build — the prefix and sequential matching kernels and the root-set MIS
+//! (`core_*` rows), the engine's construction and batch paths and the rayon
+//! shim's per-call fork cost (`prims_*` rows), and writes them to
+//! `results/BENCH_quick.json`. CI
 //! uploads that file as an artifact on every run, giving future PRs a perf
 //! trajectory to compare against. Adding `--compare` diffs the fresh rows
 //! against the trajectory file's pre-run contents (the committed baseline in
@@ -30,8 +31,10 @@ use greedy_bench::{
 use greedy_core::matching::prefix::prefix_matching;
 use greedy_core::matching::sequential::sequential_matching;
 use greedy_core::mis::prefix::PrefixPolicy;
-use greedy_core::ordering::random_edge_permutation;
-use greedy_engine::prelude::{DynGraph, Engine};
+use greedy_core::mis::rootset::rootset_mis;
+use greedy_core::mis::sequential::sequential_mis;
+use greedy_core::ordering::{random_edge_permutation, random_permutation};
+use greedy_engine::prelude::{vertex_permutation, DynGraph, Engine};
 use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
 use greedy_prims::permutation::par_random_permutation;
@@ -158,10 +161,11 @@ struct QuickEntry {
 }
 
 /// Times the permutation and CSR-build hot paths, the prefix and sequential
-/// matching kernels, the batch-dynamic engine's mixed-batch and
-/// matching-heavy update paths, and the rayon shim's per-call fork cost (each
-/// at every `--threads` value), plus the membership-probe microbench, and
-/// writes `results/BENCH_quick.json`.
+/// matching kernels, the root-set MIS, the batch-dynamic engine's
+/// construction and its mixed-batch and matching-heavy update paths, and
+/// the rayon shim's per-call fork cost (each at every `--threads` value),
+/// plus the membership-probe microbench, and writes
+/// `results/BENCH_quick.json`.
 ///
 /// Sizes are fixed (1M-element permutation, 100k/500k uniform graph, 1k-edge
 /// engine batches, 1M membership probes) regardless of `--scale`, so the
@@ -176,6 +180,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     let reps = cfg.reps.max(2);
     let edges = random_edge_list(CSR_N, CSR_M, cfg.seed);
     let edge_pi = random_edge_permutation(edges.num_edges(), cfg.seed);
+    let vertex_pi = random_permutation(CSR_N, cfg.seed);
     let mut entries: Vec<QuickEntry> = Vec::new();
     let mut kernels: Vec<PerCall> = Vec::new();
     for &threads in &cfg.threads {
@@ -214,6 +219,30 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             ]
         }));
         assert_eq!(prefix_mm, seq_mm, "prefix matching differs from sequential");
+        // Algorithm 2 in linear work (Lemma 4.2), and the engine's
+        // from-scratch build of both states, on the same graph. Each result
+        // must be the sequential MIS under its order.
+        let (mut rootset, mut engine) = (Vec::new(), Engine::new(0, cfg.seed));
+        kernels.extend(run_on_threads(threads, || {
+            let m = graph.num_edges();
+            let mut peel = || rootset = rootset_mis(&graph, &vertex_pi);
+            let mut build = || engine = Engine::from_graph(&graph, cfg.seed);
+            [
+                per_call("core_rootset_mis", threads, CSR_N, m, 1, &mut peel),
+                per_call("engine_from_graph", threads, CSR_N, m, 1, &mut build),
+            ]
+        }));
+        assert_eq!(
+            rootset,
+            sequential_mis(&graph, &vertex_pi),
+            "root-set MIS differs from sequential"
+        );
+        let engine_pi = vertex_permutation(CSR_N, cfg.seed);
+        assert_eq!(
+            engine.mis(),
+            sequential_mis(&graph, &engine_pi),
+            "engine MIS differs from sequential"
+        );
         // Batch-dynamic engine: a *fixed* stream of mixed batches (1k hashed
         // inserts + 500 deletes sampled from the live graph) applied to a
         // maintained 100k/500k graph; reported as mean seconds per batch.

@@ -1,8 +1,8 @@
 //! # greedy-bench
 //!
 //! Shared harness for the experiment binaries that regenerate every figure of
-//! the SPAA 2012 paper (Figures 1–4) plus the theory check and ablations
-//! listed in `DESIGN.md`.
+//! the SPAA 2012 paper (Figures 1–4), plus the dependence-length check and
+//! the ablations.
 //!
 //! The harness provides:
 //! * the two paper inputs at configurable scale ([`ExperimentGraph`]): the

@@ -18,12 +18,18 @@
 //! to later conflicting items whenever a decision flips, until the fixed
 //! point is reached.
 //!
+//! Each round is Algorithm 2's step over the pending items. The *ready*
+//! items, those with no earlier pending conflict, are decided by the rule;
+//! every pending conflict of a ready item that is accepted is then rejected
+//! in the same round (the *knock-out*). Both leave the pending set, and a
+//! decision flip wakes the later conflicts it may change.
+//!
 //! Two ways to use it:
 //!
 //! * **from scratch** — seed every item with all decisions `false`; the run
-//!   is then exactly the rounds algorithm (each round decides the items none
-//!   of whose earlier conflicts are still pending), and the number of rounds
-//!   is the dependence length of the DAG;
+//!   is then exactly Algorithm 2 (each round accepts the roots of the
+//!   remaining DAG and rejects their later conflicts), and the number of
+//!   rounds is the dependence length of the DAG, not its longest path;
 //! * **incrementally** — keep the previous fixed point, seed only the items
 //!   touched by a batch of conflict insertions/deletions. This is what the
 //!   batch-dynamic `greedy_engine` crate does; the repaired state is provably
@@ -109,7 +115,8 @@ pub trait ConflictDag: Sync {
     fn on_flip(&mut self, _item: u32, _accepted_now: bool, _accepted: &[bool]) {}
 
     /// Calls `f` on every **pending** item conflicting with `item` — the
-    /// walk behind the driver's in-degree bookkeeping. The default filters
+    /// walk behind the driver's in-degree bookkeeping and its knock-out
+    /// step. The default filters
     /// [`ConflictDag::for_each_conflict`] through the flag array; an
     /// implementation that indexes its pending conflicts (the engine's
     /// matching keeps per-vertex pending-slot lists) can override it so the
@@ -129,25 +136,30 @@ pub trait ConflictDag: Sync {
     /// its own entry walk). Default does nothing.
     fn on_enter_pending(&mut self, _item: u32) {}
 
-    /// Hook invoked when `item` leaves the pending set (decided, before the
-    /// release walks of its round). Default does nothing.
+    /// Hook invoked when `item` leaves the pending set (decided or knocked
+    /// out, before the release walks of its round). Default does nothing.
     fn on_retire_pending(&mut self, _item: u32) {}
 }
 
 /// Work counters reported by [`repair_fixed_point`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Synchronous rounds until the fixed point (the dependence length of
-    /// the affected sub-DAG).
+    /// Synchronous rounds until the fixed point. A round decides the ready
+    /// items and knocks out the pending conflicts of those it accepts, so a
+    /// from-scratch run counts the dependence length of the DAG (root-set
+    /// peels, Algorithm 2's rounds); a repair counts the same peels over
+    /// the pending items, including those its flips wake.
     pub rounds: u64,
-    /// Item re-decisions performed (an item may be re-decided more than once
-    /// when a stale earlier conflict settles after it).
+    /// Item decisions performed: ready items decided by the rule plus
+    /// pending items knocked out by an accepted earlier conflict. An item
+    /// may be decided more than once when a stale earlier conflict settles
+    /// after it; a from-scratch run decides each item once.
     pub decided: u64,
     /// Decision flips applied (size of the gross change stream, not the net
     /// changed set).
     pub flips: u64,
-    /// Largest single-round ready set — the peak per-round work (parallelism
-    /// available) of this repair. `decided / rounds` gives the mean.
+    /// Largest single-round ready set — the peak number of items one round
+    /// decides by the rule in parallel. Knocked-out items are not counted.
     pub max_frontier: u64,
 }
 
@@ -273,13 +285,14 @@ pub fn repair_fixed_point_with_scratch<D: ConflictDag>(
     // both sides: `v` counts its earlier pending conflicts, and registers
     // itself with its later pending conflicts. Entries and retirements are
     // symmetric, so every counter returns to zero as the rounds drain —
-    // the self-clearing property the O(Δ) scratch reset relies on.
+    // the self-clearing property the O(Δ) scratch reset relies on. An item
+    // that enters with no earlier pending conflict is a ready candidate.
     fn enter<D: ConflictDag>(
         dag: &mut D,
         v: u32,
         pending_flag: &mut [bool],
         indeg: &mut [u32],
-        pending: &mut Vec<u32>,
+        candidates: &mut Vec<u32>,
     ) {
         debug_assert!(!pending_flag[v as usize]);
         debug_assert_eq!(indeg[v as usize], 0);
@@ -297,17 +310,23 @@ pub fn repair_fixed_point_with_scratch<D: ConflictDag>(
         });
         indeg[v as usize] = earlier;
         dag.on_enter_pending(v);
-        pending.push(v);
+        if earlier == 0 {
+            candidates.push(v);
+        }
     }
 
-    let mut pending: Vec<u32> = Vec::with_capacity(seeds.len());
+    // Every pending item with in-degree 0 is in `candidates`: it was pushed
+    // when its in-degree last reached 0, by its entry or by a release.
+    let mut candidates: Vec<u32> = Vec::with_capacity(seeds.len());
+    let mut pending_count = 0usize;
     for &s in seeds {
         assert!(
             (s as usize) < n,
             "repair_fixed_point: seed {s} out of range"
         );
         if !pending_flag[s as usize] {
-            enter(dag, s, pending_flag, indeg, &mut pending);
+            enter(dag, s, pending_flag, indeg, &mut candidates);
+            pending_count += 1;
         }
     }
 
@@ -316,24 +335,28 @@ pub fn repair_fixed_point_with_scratch<D: ConflictDag>(
     // before its first re-decision in this repair.
     let touched_flag = &mut scratch.touched_flag;
     let mut touched: Vec<(u32, bool)> = Vec::new();
+    let mut knocked: Vec<u32> = Vec::new();
+    let mut flipped: Vec<u32> = Vec::new();
+    let mut wake: Vec<u32> = Vec::new();
 
-    while !pending.is_empty() {
+    while !candidates.is_empty() {
         stats.rounds += 1;
 
         // An item is ready when no *earlier* conflicting item is still
         // pending — i.e. its maintained in-degree is zero: its earlier
         // conflicts cannot change this round, so its decision reads a
-        // settled frontier. At least the globally earliest pending item is
-        // always ready, so every round makes progress. The counter check
-        // replaces a per-round conflict-list rescan, so a pending item's
-        // lists are walked O(1) times per pending episode, not once per
-        // round it waits.
-        let indeg_ref: &[u32] = indeg;
-        let ready: Vec<u32> = pending
-            .iter()
-            .copied()
-            .filter(|&v| indeg_ref[v as usize] == 0)
+        // settled frontier. The globally earliest pending item is always
+        // ready, so every round makes progress. The counter check replaces
+        // a per-round conflict-list rescan, and the candidate list a
+        // per-round pass over the pending set, so a round costs O(ready +
+        // released), not O(pending). A candidate may have gained an earlier
+        // pending conflict since it was pushed; it is pushed again once its
+        // in-degree returns to 0.
+        let ready: Vec<u32> = candidates
+            .drain(..)
+            .filter(|&v| pending_flag[v as usize] && indeg[v as usize] == 0)
             .collect();
+        debug_assert!(!ready.is_empty(), "pending candidates without a ready item");
 
         // Greedy rule, computed in parallel against the pre-round state. Two
         // ready items are never earlier/later conflicts of one another (the
@@ -345,34 +368,59 @@ pub fn repair_fixed_point_with_scratch<D: ConflictDag>(
             .par_iter()
             .map(|&v| dag_ref.decide(v, accepted_ref))
             .collect();
-        stats.decided += ready.len() as u64;
-        stats.max_frontier = stats.max_frontier.max(ready.len() as u64);
 
         // Retire the ready items: clear their flags and pending-index
         // entries first (ready items never conflict with one another, but
-        // their release walks share later pending targets), then release
-        // their holds on later pending conflicts.
+        // their walks below share later pending targets).
         for &v in &ready {
             pending_flag[v as usize] = false;
             dag.on_retire_pending(v);
         }
-        let mut next: Vec<u32> = pending
-            .iter()
-            .copied()
-            .filter(|&v| pending_flag[v as usize])
-            .collect();
-        for &v in &ready {
+        // Knock-out, Algorithm 2's second step: a ready item that is
+        // accepted rejects every pending conflict in this round. All of
+        // them are later than it (it is ready) and none can be accepted
+        // while it is. Each leaves the pending set now, before any release
+        // walk, so no release counts a hold on an item that is gone.
+        knocked.clear();
+        for (&v, _) in ready.iter().zip(&decisions).filter(|&(_, &dec)| dec) {
+            let from = knocked.len();
+            dag.for_each_pending_conflict(v, pending_flag, &mut |w| knocked.push(w));
+            for &w in &knocked[from..] {
+                pending_flag[w as usize] = false;
+                indeg[w as usize] = 0;
+                dag.on_retire_pending(w);
+            }
+        }
+        // Release the holds of the items that left: a rejected ready item
+        // and a knocked-out item may still hold later pending conflicts.
+        // An accepted ready item holds none: every pending conflict it held
+        // was just knocked out. A conflict whose last hold this was becomes
+        // a ready candidate.
+        let rejected = ready.iter().zip(&decisions).filter(|&(_, &dec)| !dec);
+        for v in rejected.map(|(&v, _)| v).chain(knocked.iter().copied()) {
             let pv = dag.priority(v);
             dag.for_each_pending_conflict(v, pending_flag, &mut |w| {
                 if dag.priority(w) > pv {
                     indeg[w as usize] -= 1;
+                    if indeg[w as usize] == 0 {
+                        candidates.push(w);
+                    }
                 }
             });
         }
-        // Apply decisions and propagate: every *later* conflict of a flipped
-        // item must be re-checked. Sequential, but linear in the flip
-        // frontier — the parallel work above dominates.
-        for (&v, &dec) in ready.iter().zip(&decisions) {
+        pending_count -= ready.len() + knocked.len();
+        stats.decided += (ready.len() + knocked.len()) as u64;
+        stats.max_frontier = stats.max_frontier.max(ready.len() as u64);
+
+        // Apply every decision of the round, then propagate: every *later*
+        // conflict of a flipped item must be re-checked. Flips go first so
+        // a wake reads the round's final state; in particular it never
+        // re-enters an item the round knocked out, which is rejected by an
+        // accepted ready item. Sequential, but linear in the flip frontier
+        // — the parallel work above dominates.
+        flipped.clear();
+        let knocked_out = knocked.iter().map(|&w| (w, false));
+        for (v, dec) in ready.iter().copied().zip(decisions).chain(knocked_out) {
             if !touched_flag[v as usize] {
                 touched_flag[v as usize] = true;
                 touched.push((v, accepted[v as usize]));
@@ -381,48 +429,49 @@ pub fn repair_fixed_point_with_scratch<D: ConflictDag>(
                 accepted[v as usize] = dec;
                 stats.flips += 1;
                 dag.on_flip(v, dec, accepted);
-                let pv = dag.priority(v);
-                // A flip only invalidates later conflicts on one side of the
-                // rule: flipping *in* newly blocks only currently-accepted
-                // later conflicts, and flipping *out* can unblock only
-                // currently-unaccepted ones — a later conflict whose
-                // decision sits on the other side keeps its value under the
-                // greedy rule no matter what. On top of that, a candidate is
-                // only woken when its decision would change *against the
-                // current state* (`decide(w) != accepted[w]`): a candidate
-                // that stays blocked by some other accepted item is already
-                // rule-consistent, and if that blocker ever flips out, its
-                // own wake walk re-examines the candidate. Together the
-                // filters keep the pending set proportional to the real
-                // flip cascade instead of the flip frontier's whole
-                // neighborhood.
-                //
-                // Collect first — `enter` needs the flag array the walk
-                // borrows — then enter one at a time, so each entry's
-                // in-degree count sees exactly the previously-entered items
-                // (entering two mutually-conflicting wake-ups in one go
-                // would double-count their edge).
-                let mut wake: Vec<u32> = Vec::new();
-                dag.for_each_conflict(v, &mut |w| {
-                    // Flag and state loads first — the priority lookup is
-                    // the wide one, and most conflicts fail the cheap tests.
-                    if !pending_flag[w as usize]
-                        && accepted[w as usize] == dec
-                        && dag.priority(w) > pv
-                    {
-                        wake.push(w);
-                    }
-                });
-                for w in wake {
-                    if !pending_flag[w as usize] && dag.decide(w, accepted) != accepted[w as usize]
-                    {
-                        enter(dag, w, pending_flag, indeg, &mut next);
-                    }
+                flipped.push(v);
+            }
+        }
+        for &v in &flipped {
+            let dec = accepted[v as usize];
+            let pv = dag.priority(v);
+            // A flip only invalidates later conflicts on one side of the
+            // rule: flipping *in* newly blocks only currently-accepted later
+            // conflicts, and flipping *out* can unblock only
+            // currently-unaccepted ones — a later conflict whose decision
+            // sits on the other side keeps its value under the greedy rule
+            // no matter what. On top of that, a candidate is only woken when
+            // its decision would change *against the current state*
+            // (`decide(w) != accepted[w]`): a candidate that stays blocked
+            // by some other accepted item is already rule-consistent, and if
+            // that blocker ever flips out, its own wake walk re-examines the
+            // candidate. Together the filters keep the pending set
+            // proportional to the real flip cascade instead of the flip
+            // frontier's whole neighborhood.
+            //
+            // Collect first — `enter` needs the flag array the walk borrows
+            // — then enter one at a time, so each entry's in-degree count
+            // sees exactly the previously-entered items (entering two
+            // mutually-conflicting wake-ups in one go would double-count
+            // their edge).
+            wake.clear();
+            dag.for_each_conflict(v, &mut |w| {
+                // Flag and state loads first — the priority lookup is the
+                // wide one, and most conflicts fail the cheap tests.
+                if !pending_flag[w as usize] && accepted[w as usize] == dec && dag.priority(w) > pv
+                {
+                    wake.push(w);
+                }
+            });
+            for &w in &wake {
+                if !pending_flag[w as usize] && dag.decide(w, accepted) != accepted[w as usize] {
+                    enter(dag, w, pending_flag, indeg, &mut candidates);
+                    pending_count += 1;
                 }
             }
         }
-        pending = next;
     }
+    debug_assert_eq!(pending_count, 0, "the rounds ended with items pending");
 
     // Reset the scratch in O(items touched): the pending flags self-cleared
     // as the rounds drained (the loop only exits once the pending set is
@@ -453,10 +502,12 @@ pub fn greedy_from_scratch<D: ConflictDag>(dag: &mut D) -> (Vec<bool>, RepairSta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::dependence_length;
     use crate::mis::sequential::sequential_mis;
     use crate::ordering::random_permutation;
     use greedy_graph::csr::Graph;
     use greedy_graph::gen::random::random_graph;
+    use greedy_graph::gen::rmat::rmat_graph;
     use greedy_graph::gen::structured::{complete_graph, path_graph, star_graph};
     use greedy_prims::permutation::Permutation;
 
@@ -512,6 +563,43 @@ mod tests {
             let mut dag = MisDag { graph: &g, pi: &pi };
             let (accepted, _) = greedy_from_scratch(&mut dag);
             assert_eq!(mis_of(&accepted), sequential_mis(&g, &pi));
+        }
+    }
+
+    #[test]
+    fn from_scratch_rounds_equal_dependence_length() {
+        // With the knock-out step a from-scratch run is Algorithm 2: each
+        // round accepts the roots of the remaining DAG and rejects their
+        // later neighbors, so it counts root-set peels, not the longest
+        // path. Identity orders separate the two: the path takes n/2 peels
+        // against a longest path of n, the complete graph 1 against n.
+        let mut cases: Vec<(Graph, Permutation)> = (0..4)
+            .map(|seed| {
+                let g = random_graph(2_000, 8_000, seed);
+                let pi = random_permutation(2_000, seed + 40);
+                (g, pi)
+            })
+            .collect();
+        let rmat = rmat_graph(11, 16_000, 5);
+        let rmat_pi = random_permutation(rmat.num_vertices(), 6);
+        cases.push((rmat, rmat_pi));
+        for g in [star_graph(200), path_graph(300), complete_graph(150)] {
+            let n = g.num_vertices();
+            cases.push((g.clone(), random_permutation(n, 7)));
+            cases.push((g, Permutation::identity(n)));
+        }
+        for (g, pi) in &cases {
+            let mut dag = MisDag { graph: g, pi };
+            let (accepted, stats) = greedy_from_scratch(&mut dag);
+            assert_eq!(mis_of(&accepted), sequential_mis(g, pi));
+            assert_eq!(
+                stats.rounds as usize,
+                dependence_length(g, pi),
+                "n = {}, m = {}",
+                g.num_vertices(),
+                g.num_edges()
+            );
+            assert_eq!(stats.decided as usize, g.num_vertices());
         }
     }
 

@@ -36,10 +36,14 @@
 //!
 //! [`reservations`] holds the deterministic-reservations driver
 //! ([`reservations::speculative_for::speculative_for`]) that
-//! [`matching::prefix::prefix_matching`] runs on, its write-with-min cells,
-//! and the reservation-based MIS and matching backends
+//! [`matching::prefix::prefix_matching`] runs on, and its write-with-min
+//! cells. Its MIS and matching backends
 //! ([`reservations::mis::reservation_mis`],
-//! [`reservations::matching::reservation_matching`]).
+//! [`reservations::matching::reservation_matching`]) are the two Algorithm 3
+//! loops, [`mis::prefix::prefix_mis`] and
+//! [`matching::prefix::prefix_matching`], at a fixed prefix size. The MIS
+//! loop needs no reservation cell, because only a vertex writes its own
+//! decision.
 //!
 //! ## Analysis
 //!

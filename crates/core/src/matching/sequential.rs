@@ -55,19 +55,6 @@ pub fn sequential_matching_with_stats(edges: &EdgeList, pi: &Permutation) -> (Ve
     (matching, stats)
 }
 
-/// Returns, for each vertex, the id of its matched edge (or `u32::MAX` if
-/// unmatched), given a matching produced by any of the algorithms in this
-/// module family.
-pub fn matched_edge_per_vertex(edges: &EdgeList, matching: &[u32]) -> Vec<u32> {
-    let mut assigned = vec![u32::MAX; edges.num_vertices()];
-    for &e in matching {
-        let edge = edges.edge(e as usize);
-        assigned[edge.u as usize] = e;
-        assigned[edge.v as usize] = e;
-    }
-    assigned
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,21 +113,6 @@ mod tests {
         let (_, stats) = sequential_matching_with_stats(&el, &pi);
         assert_eq!(stats.vertex_work, 300);
         assert_eq!(stats.rounds, 300);
-    }
-
-    #[test]
-    fn matched_edge_per_vertex_is_consistent() {
-        let el = random_edge_list(100, 250, 3);
-        let pi = random_edge_permutation(250, 4);
-        let mm = sequential_matching(&el, &pi);
-        let per_vertex = matched_edge_per_vertex(&el, &mm);
-        for &e in &mm {
-            let edge = el.edge(e as usize);
-            assert_eq!(per_vertex[edge.u as usize], e);
-            assert_eq!(per_vertex[edge.v as usize], e);
-        }
-        let matched_vertices = per_vertex.iter().filter(|&&x| x != u32::MAX).count();
-        assert_eq!(matched_vertices, 2 * mm.len());
     }
 
     #[test]

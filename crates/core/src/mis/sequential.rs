@@ -58,16 +58,6 @@ pub fn sequential_mis_with_stats(graph: &Graph, pi: &Permutation) -> (Vec<u32>, 
     (collect_in_vertices(&state), stats)
 }
 
-/// Membership-flag variant: returns a boolean vector `in_mis[v]`.
-pub fn sequential_mis_flags(graph: &Graph, pi: &Permutation) -> Vec<bool> {
-    let mis = sequential_mis(graph, pi);
-    let mut flags = vec![false; graph.num_vertices()];
-    for v in mis {
-        flags[v as usize] = true;
-    }
-    flags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,17 +129,6 @@ mod tests {
         // Edge work only charges the adjacency of accepted vertices.
         let expected_edge_work: u64 = mis.iter().map(|&v| g.degree(v) as u64).sum();
         assert_eq!(stats.edge_work, expected_edge_work);
-    }
-
-    #[test]
-    fn flags_agree_with_list() {
-        let g = random_graph(100, 250, 4);
-        let pi = random_permutation(100, 9);
-        let mis = sequential_mis(&g, &pi);
-        let flags = sequential_mis_flags(&g, &pi);
-        for v in 0..100u32 {
-            assert_eq!(flags[v as usize], mis.binary_search(&v).is_ok());
-        }
     }
 
     #[test]

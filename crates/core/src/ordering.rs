@@ -5,8 +5,6 @@
 //! helpers construct such orders deterministically from a seed, so every
 //! experiment is reproducible and every implementation sees the identical π.
 
-use greedy_graph::csr::Graph;
-use greedy_graph::edge_list::EdgeList;
 use greedy_prims::permutation::{par_random_permutation, Permutation};
 
 /// A uniformly random priority order over `n` vertices, deterministic in
@@ -15,19 +13,9 @@ pub fn random_permutation(n: usize, seed: u64) -> Permutation {
     par_random_permutation(n, seed)
 }
 
-/// A uniformly random priority order over the vertices of `graph`.
-pub fn random_vertex_permutation(graph: &Graph, seed: u64) -> Permutation {
-    random_permutation(graph.num_vertices(), seed)
-}
-
 /// A uniformly random priority order over `m` edges (for maximal matching).
 pub fn random_edge_permutation(m: usize, seed: u64) -> Permutation {
     par_random_permutation(m, seed)
-}
-
-/// A uniformly random priority order over the edges of `edges`.
-pub fn random_edge_permutation_for(edges: &EdgeList, seed: u64) -> Permutation {
-    random_edge_permutation(edges.num_edges(), seed)
 }
 
 /// The identity order (vertex `i` has priority `i`). Useful for constructing
@@ -35,15 +23,6 @@ pub fn random_edge_permutation_for(edges: &EdgeList, seed: u64) -> Permutation {
 /// dependence length Θ(n), whereas a random order has O(log² n).
 pub fn identity_permutation(n: usize) -> Permutation {
     Permutation::identity(n)
-}
-
-/// Builds a permutation from an explicit priority ranking: `rank[v]` is the
-/// position of vertex `v` (0 = earliest).
-///
-/// # Panics
-/// Panics if `rank` is not a permutation of `0..rank.len()`.
-pub fn permutation_from_rank(rank: Vec<u32>) -> Permutation {
-    Permutation::from_rank(rank)
 }
 
 #[cfg(test)]
@@ -54,7 +33,7 @@ mod tests {
     #[test]
     fn vertex_permutation_has_graph_size() {
         let g = random_graph(100, 300, 1);
-        let pi = random_vertex_permutation(&g, 5);
+        let pi = random_permutation(g.num_vertices(), 5);
         assert_eq!(pi.len(), 100);
         assert!(pi.validate());
     }
@@ -63,7 +42,7 @@ mod tests {
     fn edge_permutation_has_edge_count() {
         let g = random_graph(100, 300, 1);
         let el = g.to_edge_list();
-        let pi = random_edge_permutation_for(&el, 5);
+        let pi = random_edge_permutation(el.num_edges(), 5);
         assert_eq!(pi.len(), el.num_edges());
     }
 
@@ -83,7 +62,7 @@ mod tests {
 
     #[test]
     fn from_rank_roundtrip() {
-        let p = permutation_from_rank(vec![2, 0, 1]);
+        let p = Permutation::from_rank(vec![2, 0, 1]);
         assert_eq!(p.rank_of(0), 2);
         assert_eq!(p.rank_of(1), 0);
         assert_eq!(p.element_at(0), 1);

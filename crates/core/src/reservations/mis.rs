@@ -1,103 +1,29 @@
-//! MIS as a deterministic-reservations loop.
-//!
-//! The loop body for iterate `i` (the vertex with priority rank `i`) decides
-//! in `reserve` and publishes in `commit`. In `reserve` it looks at the
-//! earlier neighbors: if any is in the MIS the vertex is out, if any is
-//! still undecided the iterate retries in the next step, otherwise the
-//! vertex joins the MIS. `commit` then publishes the decision. No
-//! reservation cell is needed — the decision is owner-written — and since a
-//! decision reads only states that earlier commit phases published, every
-//! step, and every counter, is independent of the schedule. This is the MIS
-//! plug-in of the PBBS deterministic-reservations benchmark, and it returns
-//! exactly the lexicographically-first MIS.
-
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+//! MIS as a deterministic-reservations loop: the prefix loop of
+//! [`crate::mis::prefix`] (Algorithm 3), run at a fixed granularity. Within
+//! a prefix, a vertex with an earlier neighbor in the MIS is out, a vertex
+//! with an undecided earlier neighbor retries in the next step, and any
+//! other vertex joins — the decision the sequential greedy algorithm makes.
+//! This is the MIS plug-in of the PBBS deterministic-reservations benchmark.
+//! It needs no reservation cell, because each decision is written only by
+//! its own vertex; it returns exactly the lexicographically-first MIS.
 
 use greedy_graph::csr::Graph;
 use greedy_prims::permutation::Permutation;
 
-use crate::reservations::speculative_for::{speculative_for, ReservationStep};
+use crate::mis::prefix::{prefix_mis_with_stats, PrefixPolicy};
 use crate::stats::WorkStats;
 
-// Published states, read by later neighbors.
-const UNDECIDED: u8 = 0;
-const IN_MIS: u8 = 1;
-const OUT: u8 = 2;
-// Decided in this step's reserve phase, published by its commit phase;
-// later neighbors read both as undecided.
-const JOINS: u8 = 3;
-const LEAVES: u8 = 4;
-
-struct MisStep<'a> {
-    graph: &'a Graph,
-    /// rank → vertex id (the iterate order).
-    order: &'a [u32],
-    /// vertex id → rank.
-    rank: &'a [u32],
-    state: Vec<AtomicU8>,
-}
-
-impl ReservationStep for MisStep<'_> {
-    fn reserve(&self, i: usize) -> bool {
-        let v = self.order[i];
-        let mut decision = JOINS;
-        for &w in self.graph.neighbors(v) {
-            if self.rank[w as usize] < i as u32 {
-                match self.state[w as usize].load(Relaxed) {
-                    IN_MIS => {
-                        decision = LEAVES;
-                        break;
-                    }
-                    OUT => {}
-                    _ => decision = UNDECIDED,
-                }
-            }
-        }
-        self.state[v as usize].store(decision, Relaxed);
-        true
-    }
-
-    fn commit(&self, i: usize) -> bool {
-        let state = &self.state[self.order[i] as usize];
-        match state.load(Relaxed) {
-            JOINS => state.store(IN_MIS, Relaxed),
-            LEAVES => state.store(OUT, Relaxed),
-            _ => return false,
-        }
-        true
-    }
-}
-
 /// Computes the lexicographically-first MIS with the deterministic
-/// reservations framework, in prefixes of `granularity` vertices. Identical
-/// output to [`crate::mis::sequential::sequential_mis`].
+/// reservations framework, in prefixes of `granularity` vertices:
+/// [`prefix_mis_with_stats`] at [`PrefixPolicy::Fixed`]`(granularity)`, so
+/// the counters are `prefix_mis`'s. Identical output to
+/// [`crate::mis::sequential::sequential_mis`].
 pub fn reservation_mis_with_granularity(
     graph: &Graph,
     pi: &Permutation,
     granularity: usize,
 ) -> (Vec<u32>, WorkStats) {
-    let n = graph.num_vertices();
-    assert_eq!(
-        pi.len(),
-        n,
-        "reservation_mis: permutation covers {} elements but the graph has {} vertices",
-        pi.len(),
-        n
-    );
-    let step = MisStep {
-        graph,
-        order: pi.order(),
-        rank: pi.rank(),
-        state: (0..n).map(|_| AtomicU8::new(UNDECIDED)).collect(),
-    };
-    let stats = speculative_for(&step, n, granularity.max(1));
-    let mis = step
-        .state
-        .iter()
-        .enumerate()
-        .filter_map(|(v, s)| (s.load(Relaxed) == IN_MIS).then_some(v as u32))
-        .collect();
-    (mis, stats)
+    prefix_mis_with_stats(graph, pi, PrefixPolicy::Fixed(granularity.max(1)))
 }
 
 /// [`reservation_mis_with_granularity`] with a default granularity of

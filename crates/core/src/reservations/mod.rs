@@ -21,10 +21,14 @@
 //!   [`crate::matching::prefix::prefix_matching`] is its matching instance;
 //! * [`reserve_cell::ReserveCell`] — the write-with-min priority reservation
 //!   cell;
-//! * [`mis::reservation_mis`] and [`matching::reservation_matching`] —
-//!   alternative backends for the paper's two problems, returning bit-identical
-//!   results to the sequential implementations (the integration tests verify
-//!   this).
+//! * [`mis::reservation_mis`] and [`matching::reservation_matching`] — the
+//!   paper's two problems at a fixed granularity: the Algorithm 3 loops
+//!   [`crate::mis::prefix::prefix_mis`] and
+//!   [`crate::matching::prefix::prefix_matching`] at
+//!   [`PrefixPolicy::Fixed`](crate::mis::prefix::PrefixPolicy::Fixed). They
+//!   return bit-identical results to the sequential implementations (the
+//!   integration tests verify this). The MIS loop needs no reservation
+//!   cell, because only a vertex writes its own decision.
 //!
 //! ```
 //! use greedy_core::ordering::random_permutation;

@@ -108,11 +108,12 @@ pub struct EngineStats {
     pub mis_vertices_changed: u64,
     /// Net matching membership flips across all batches.
     pub matching_edges_changed: u64,
-    /// Vertex re-decisions performed by MIS repairs (including the initial
-    /// from-scratch build).
+    /// Vertex decisions made by MIS repairs, knock-outs included
+    /// ([`RepairStats::decided`]). The initial from-scratch build decides
+    /// each vertex once, so it adds n.
     pub mis_redecisions: u64,
-    /// Edge re-decisions performed by matching repairs (including the initial
-    /// from-scratch build).
+    /// Edge decisions made by matching repairs, knock-outs included. The
+    /// initial from-scratch build decides each edge once, so it adds m.
     pub matching_redecisions: u64,
 }
 
@@ -477,10 +478,14 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::priority::{edge_permutation, vertex_permutation};
+    use greedy_core::analysis::dependence_length;
+    use greedy_core::matching::rounds::rounds_matching_with_stats;
     use greedy_core::matching::sequential::sequential_matching;
     use greedy_core::mis::sequential::sequential_mis;
     use greedy_core::mis::verify::verify_mis;
     use greedy_graph::gen::random::random_graph;
+    use greedy_graph::gen::rmat::rmat_graph;
+    use greedy_graph::gen::structured::{complete_graph, star_graph};
 
     /// Checks both maintained states against from-scratch static runs.
     fn assert_consistent(engine: &Engine) {
@@ -505,6 +510,42 @@ mod tests {
         assert!(engine.matching().is_empty());
         assert_eq!(engine.num_edges(), 0);
         assert_consistent(&engine);
+    }
+
+    #[test]
+    fn from_scratch_rounds_equal_dependence_length() {
+        // Both from-scratch builds run Algorithm 2 on their conflict DAG:
+        // the MIS over the vertex order, the matching over the edge order
+        // (Algorithm 4, whose rounds are the line graph's dependence length).
+        let seed = 17;
+        for g in [
+            random_graph(2_000, 8_000, 3),
+            rmat_graph(11, 8_000, 4),
+            complete_graph(60),
+            star_graph(300),
+        ] {
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            let dyn_g = DynGraph::from_graph(&g);
+            let prio = vertex_priorities(n, seed);
+            let (_, mis) = mis_from_scratch(&dyn_g, &prio, &mut RepairScratch::new());
+            let pi = vertex_permutation(n, seed);
+            assert_eq!(
+                mis.rounds as usize,
+                dependence_length(&g, &pi),
+                "MIS rounds, n = {n}, m = {m}"
+            );
+            assert_eq!(mis.decided as usize, n, "each vertex is decided once");
+
+            let (_, matching) = matching_from_scratch(&dyn_g, seed, &mut RepairScratch::new());
+            let el = dyn_g.to_edge_list();
+            let edge_pi = edge_permutation(seed, &el);
+            assert_eq!(
+                matching.rounds,
+                rounds_matching_with_stats(&el, &edge_pi).1.rounds,
+                "matching rounds, n = {n}, m = {m}"
+            );
+            assert_eq!(matching.decided as usize, m, "each edge is decided once");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Incremental graph construction.
 //!
-//! [`GraphBuilder`] accumulates edges one at a time (or in batches) and
-//! produces a canonical [`EdgeList`] / CSR [`Graph`]. It is the convenient
-//! entry point for examples and for constructing conflict graphs in the
-//! scheduling application, where edges are discovered incrementally.
+//! [`GraphBuilder`] accumulates edges one at a time and produces a
+//! canonical [`EdgeList`] / CSR [`Graph`]. It is the convenient entry point
+//! for examples and for constructing conflict graphs in the scheduling
+//! application, where edges are discovered incrementally.
 //!
 //! Both build paths ([`GraphBuilder::build_edge_list`] via
 //! [`EdgeList::canonicalize`], [`GraphBuilder::build_graph`] via
@@ -63,14 +63,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds a batch of edges.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = (u32, u32)>) -> &mut Self {
-        for (u, v) in edges {
-            self.add_edge(u, v);
-        }
-        self
-    }
-
     /// Builds a canonical [`EdgeList`] (self-loops and duplicates removed).
     pub fn build_edge_list(&self) -> EdgeList {
         EdgeList::new(self.num_vertices, self.edges.clone()).canonicalize()
@@ -99,7 +91,10 @@ mod tests {
     #[test]
     fn builder_deduplicates_at_build() {
         let mut b = GraphBuilder::new(4);
-        b.add_edges(vec![(0, 1), (1, 0), (0, 1), (2, 2)]);
+        b.add_edge(0, 1)
+            .add_edge(1, 0)
+            .add_edge(0, 1)
+            .add_edge(2, 2);
         assert_eq!(b.num_edges(), 4);
         let el = b.build_edge_list();
         assert_eq!(el.num_edges(), 1);

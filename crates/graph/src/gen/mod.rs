@@ -2,8 +2,6 @@
 //!
 //! * [`random`] — uniform sparse random multigraph G(n, m), the paper's
 //!   "random graph" input (n = 10⁷, m = 5·10⁷ at paper scale).
-//! * [`er`] — Erdős–Rényi G(n, p), the model analysed by Coppersmith et al.
-//!   and Calkin–Frieze, useful for comparing against the prior analyses.
 //! * [`rmat`] — the R-MAT recursive-matrix generator of Chakrabarti et al.,
 //!   the paper's power-law input (n = 2²⁴, m = 5·10⁷ at paper scale).
 //! * [`structured`] — complete, path, cycle, star, grid, tree, and bipartite
@@ -13,7 +11,6 @@
 //! All generators are deterministic in their seed and independent of the
 //! number of threads.
 
-pub mod er;
 pub mod random;
 pub mod rmat;
 pub mod structured;

@@ -97,11 +97,6 @@ pub fn rmat_graph(log_n: u32, m: usize, seed: u64) -> Graph {
     Graph::from_edge_list(&rmat_edge_list(log_n, m, RmatParams::default(), seed))
 }
 
-/// Generates an R-MAT graph with explicit quadrant probabilities.
-pub fn rmat_graph_with_params(log_n: u32, m: usize, params: RmatParams, seed: u64) -> Graph {
-    Graph::from_edge_list(&rmat_edge_list(log_n, m, params, seed))
-}
-
 /// Draws the endpoints of edge `index` by recursive quadrant descent.
 fn rmat_edge(log_n: u32, params: RmatParams, seed: u64, index: u64) -> (u32, u32) {
     let mut rng = SplitMix64::new(hash64(seed, index));
@@ -204,7 +199,7 @@ mod tests {
             b: 0.25,
             c: 0.25,
         };
-        let g = rmat_graph_with_params(14, 40_000, params, 7);
+        let g = Graph::from_edge_list(&rmat_edge_list(14, 40_000, params, 7));
         let avg = 2.0 * g.num_edges() as f64 / g.num_vertices() as f64;
         let max = g.max_degree() as f64;
         assert!(

@@ -81,11 +81,6 @@ pub fn hash_below(seed: u64, index: u64, bound: u64) -> u64 {
     ((hash64(seed, index) as u128 * bound as u128) >> 64) as u64
 }
 
-/// Stateless hash mapped to a uniform f64 in [0, 1).
-pub fn hash_f64(seed: u64, index: u64) -> f64 {
-    (hash64(seed, index) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,14 +144,6 @@ mod tests {
             let x = hash_below(5, i, 17);
             assert!(x < 17);
             assert_eq!(x, hash_below(5, i, 17));
-        }
-    }
-
-    #[test]
-    fn hash_f64_unit_interval() {
-        for i in 0..1000u64 {
-            let x = hash_f64(1, i);
-            assert!((0.0..1.0).contains(&x));
         }
     }
 

@@ -27,8 +27,8 @@
 //! | `server_commit_total_us` | drain → all sinks published |
 //! | `server_commit_batch_updates` | updates the round carried (count) |
 //! | `server_publish_pages` | copy-on-write pages the round repacked |
-//! | `server_repair_rounds_mis` | MIS repair dependence rounds (count) |
-//! | `server_repair_rounds_matching` | matching repair rounds (count) |
+//! | `server_repair_rounds_mis` | MIS repair rounds, Algorithm 2's steps (count) |
+//! | `server_repair_rounds_matching` | matching repair rounds, Algorithm 4's steps (count) |
 //! | `server_repair_max_frontier` | peak single-round ready set (count) |
 //!
 //! Read path: `server_query_us`, `server_snapshot_age_us` (one sample per
@@ -40,10 +40,14 @@
 //! `server_wal_appends_total`, `server_wal_checkpoints_total`. Gauge:
 //! `server_feed_subscribers`.
 //!
-//! `server_repair_rounds_mis` is the paper's observable: Blelloch–Fineman–
-//! Shun bound the greedy MIS dependence depth by O(log² n) w.h.p., so the
-//! histogram's max over any run should sit well under `log2(n)²` —
-//! `serve_load --metrics` prints exactly that comparison.
+//! `server_repair_rounds_mis` is the paper's observable. Each repair round
+//! accepts the pending vertices with no earlier pending neighbor and knocks
+//! out their pending neighbors, so a repair counts root-set peels of its
+//! pending sub-DAG, and a from-scratch build counts exactly the dependence
+//! length. Blelloch–Fineman–Shun bound the greedy MIS dependence depth by
+//! O(log² n) w.h.p., so the histogram's max over any run should sit well
+//! under `log2(n)²` — `serve_load --metrics` prints exactly that
+//! comparison. The matching rounds are the same steps on the line graph.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,13 +81,14 @@ pub struct RoundTrace {
     pub feed_us: u64,
     /// Drain → all sinks published.
     pub total_us: u64,
-    /// MIS repair dependence rounds.
+    /// MIS repair rounds: root-set peels of the pending vertices (the
+    /// repair's `RepairStats::rounds`).
     pub mis_rounds: u64,
-    /// Matching repair dependence rounds.
+    /// Matching repair rounds: root-set peels of the pending edges.
     pub matching_rounds: u64,
     /// Peak single-round ready set across both repairs.
     pub max_frontier: u64,
-    /// Item re-decisions across both repairs.
+    /// Item decisions across both repairs, knock-outs included.
     pub decided: u64,
     /// Decision flips across both repairs.
     pub flips: u64,
