@@ -34,8 +34,9 @@ use greedy_core::mis::prefix::PrefixPolicy;
 use greedy_core::mis::rootset::rootset_mis;
 use greedy_core::mis::sequential::sequential_mis;
 use greedy_core::ordering::{random_edge_permutation, random_permutation};
-use greedy_engine::prelude::{vertex_permutation, DynGraph, Engine};
+use greedy_engine::prelude::{edge_permutation, vertex_permutation, DynGraph, Engine};
 use greedy_graph::csr::Graph;
+use greedy_graph::edge_list::Edge;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
 use greedy_prims::permutation::par_random_permutation;
 use greedy_prims::random::hash64;
@@ -219,9 +220,9 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             ]
         }));
         assert_eq!(prefix_mm, seq_mm, "prefix matching differs from sequential");
-        // Algorithm 2 in linear work (Lemma 4.2), and the engine's
-        // from-scratch build of both states, on the same graph. Each result
-        // must be the sequential MIS under its order.
+        // Algorithm 2 in linear work (Lemma 4.2), and the engine's build of
+        // both states, on the same graph. Each result must be the sequential
+        // one under its order.
         let (mut rootset, mut engine) = (Vec::new(), Engine::new(0, cfg.seed));
         kernels.extend(run_on_threads(threads, || {
             let m = graph.num_edges();
@@ -242,6 +243,18 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             engine.mis(),
             sequential_mis(&graph, &engine_pi),
             "engine MIS differs from sequential"
+        );
+        let engine_el = graph.to_edge_list();
+        let engine_edge_pi = edge_permutation(cfg.seed, &engine_el);
+        let mut expected_mm: Vec<Edge> = sequential_matching(&engine_el, &engine_edge_pi)
+            .into_iter()
+            .map(|id| engine_el.edge(id as usize))
+            .collect();
+        expected_mm.sort_unstable_by_key(|e| e.sort_key());
+        assert_eq!(
+            engine.matching(),
+            expected_mm,
+            "engine matching differs from sequential"
         );
         // Batch-dynamic engine: a *fixed* stream of mixed batches (1k hashed
         // inserts + 500 deletes sampled from the live graph) applied to a

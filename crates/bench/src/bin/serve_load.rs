@@ -1023,9 +1023,11 @@ fn run_crash_recover(cfg: &LoadConfig) {
         "the child is supposed to abort mid-stream, but exited cleanly ({status})"
     );
 
+    let recover_start = Instant::now();
     let recovered = wal::recover(&dir)
         .expect("recovery must not error on a crashed directory")
         .expect("the crashed child must have left a log behind");
+    let recover_s = recover_start.elapsed().as_secs_f64();
     assert!(
         recovered.round > 0,
         "the child aborted before committing a single round; nothing was audited"
@@ -1035,7 +1037,7 @@ fn run_crash_recover(cfg: &LoadConfig) {
         "the child never checkpoints, so recovery must come from the base checkpoint"
     );
     eprintln!(
-        "   recovered round {} ({} records replayed{})",
+        "   recovered round {} in {recover_s:.3} s ({} records replayed{})",
         recovered.round,
         recovered.replayed,
         if recovered.tail_truncated {

@@ -221,10 +221,14 @@ impl DynGraph {
     }
 
     /// Builds the dynamic form of a CSR graph. Edge `i` of the graph's
-    /// canonical edge list gets slot `i`.
+    /// canonical edge list gets slot `i`. An edgeless graph has nothing to
+    /// build in bulk, so it gets [`DynGraph::new`]'s empty arena.
     pub fn from_graph(graph: &Graph) -> Self {
         let mut g = Self::new(graph.num_vertices());
         let edges = graph.to_edge_list().into_parts().1;
+        if edges.is_empty() {
+            return g;
+        }
         let updates: Vec<SlotUpdate> = edges
             .iter()
             .map(|&e| SlotUpdate {
@@ -987,6 +991,10 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.to_graph(), Graph::empty(4));
         g.validate().unwrap();
+        let built = DynGraph::from_graph(&Graph::empty(4));
+        assert_eq!((built.rebuilds(), built.arena_capacity()), (0, 0));
+        assert_eq!(built.to_graph(), Graph::empty(4));
+        built.validate().unwrap();
     }
 
     #[test]

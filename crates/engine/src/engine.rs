@@ -14,13 +14,16 @@
 //! — and they are byte-identical across thread counts.
 
 use greedy_core::dag::{RepairScratch, RepairStats};
+use greedy_core::matching::prefix::prefix_matching;
+use greedy_core::mis::prefix::{prefix_mis, PrefixPolicy};
 use greedy_graph::csr::Graph;
 use greedy_graph::edge_list::Edge;
 
 use crate::dyn_graph::DynGraph;
-use crate::matching::{matching_from_scratch, MatchDelta, MatchingState};
+use crate::matching::{MatchDelta, MatchingState};
 use crate::metrics::EngineMetrics;
-use crate::mis::{mis_from_scratch, repair_mis, vertex_priorities};
+use crate::mis::{repair_mis, vertex_priorities};
+use crate::priority::{edge_permutation, vertex_permutation};
 use crate::snapshot::{ServerSnapshot, PAGE_VERTICES};
 
 /// A batch of edge updates, applied atomically: deletions first, then
@@ -108,12 +111,12 @@ pub struct EngineStats {
     pub mis_vertices_changed: u64,
     /// Net matching membership flips across all batches.
     pub matching_edges_changed: u64,
-    /// Vertex decisions made by MIS repairs, knock-outs included
-    /// ([`RepairStats::decided`]). The initial from-scratch build decides
-    /// each vertex once, so it adds n.
+    /// Vertex decisions made by the MIS repairs of all batches, knock-outs
+    /// included ([`RepairStats::decided`]). The initial build runs no
+    /// repair, so a new engine reads 0.
     pub mis_redecisions: u64,
-    /// Edge decisions made by matching repairs, knock-outs included. The
-    /// initial from-scratch build decides each edge once, so it adds m.
+    /// Edge decisions made by the matching repairs of all batches,
+    /// knock-outs included. A new engine reads 0.
     pub matching_redecisions: u64,
 }
 
@@ -186,49 +189,48 @@ impl Engine {
     /// An engine over an edgeless graph on `n` vertices. With no edges every
     /// vertex is in the MIS and the matching is empty.
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::from_dyn_graph(DynGraph::new(n), seed)
+        Self::from_graph(&Graph::empty(n), seed)
     }
 
-    /// An engine initialized from an existing graph: both states are built
-    /// from scratch (counted in [`EngineStats`]), then maintained
+    /// An engine initialized from an existing graph, then maintained
     /// incrementally.
+    ///
+    /// Both states are built by the paper's static prefix solvers under the
+    /// engine's orders, not by the repair driver: [`prefix_mis`] under
+    /// [`vertex_permutation`], and [`prefix_matching`] over the canonical
+    /// edge list under [`edge_permutation`]. [`DynGraph::from_graph`] gives
+    /// edge `i` of that list slot `i`, so the matching's edge ids are its
+    /// slot ids. The build makes no repair decisions, so [`EngineStats`]
+    /// starts at zero.
     pub fn from_graph(graph: &Graph, seed: u64) -> Self {
-        Self::from_dyn_graph(DynGraph::from_graph(graph), seed)
-    }
-
-    fn from_dyn_graph(graph: DynGraph, seed: u64) -> Self {
         let n = graph.num_vertices();
-        let vertex_prio = vertex_priorities(n, seed);
-        let mut scratch = RepairScratch::with_capacity(n.max(graph.num_slots()));
-        // Matching first, MIS second — both from-scratch builds share the
-        // scratch, and finishing on the MIS keeps
-        // [`Engine::mis_scratch_reset_items`] describing the MIS repair.
-        let (matching, matching_stats) = matching_from_scratch(&graph, seed, &mut scratch);
-        let (in_mis, mis_stats) = mis_from_scratch(&graph, &vertex_prio, &mut scratch);
-        let stats = EngineStats {
-            mis_redecisions: mis_stats.decided,
-            matching_redecisions: matching_stats.decided,
-            ..EngineStats::default()
-        };
-        let mis_size = in_mis.iter().filter(|&&m| m).count();
-        let serving = ServerSnapshot::build(
-            graph.num_edges(),
-            &in_mis,
-            matching.partners(),
-            matching.size(),
-        );
+        let el = graph.to_edge_list();
+        let dyn_graph = DynGraph::from_graph(graph);
+        debug_assert_eq!(dyn_graph.num_slots(), el.num_edges());
+
+        let mis = prefix_mis(graph, &vertex_permutation(n, seed), PrefixPolicy::default());
+        let mut in_mis = vec![false; n];
+        for &v in &mis {
+            in_mis[v as usize] = true;
+        }
+        let matched = prefix_matching(&el, &edge_permutation(seed, &el), PrefixPolicy::default());
+        let matching = MatchingState::from_matched_slots(n, seed, el.edges(), &matched);
+        let serving =
+            ServerSnapshot::build(el.num_edges(), &in_mis, matching.partners(), matched.len());
         Self {
-            graph,
+            // Sized to the larger item space now, so the first batch's
+            // repair does not grow it.
+            scratch: RepairScratch::with_capacity(n.max(dyn_graph.num_slots())),
+            graph: dyn_graph,
             seed,
-            vertex_prio,
+            vertex_prio: vertex_priorities(n, seed),
             in_mis,
             matching,
-            scratch,
-            mis_size,
+            mis_size: mis.len(),
             serving,
             last_publication_pages: 0,
             last_timings: BatchTimings::default(),
-            stats,
+            stats: EngineStats::default(),
             metrics: None,
         }
     }
@@ -514,9 +516,10 @@ mod tests {
 
     #[test]
     fn from_scratch_rounds_equal_dependence_length() {
-        // Both from-scratch builds run Algorithm 2 on their conflict DAG:
-        // the MIS over the vertex order, the matching over the edge order
-        // (Algorithm 4, whose rounds are the line graph's dependence length).
+        // The repair driver seeded with every item runs Algorithm 2 on its
+        // conflict DAG: the MIS over the vertex order, the matching over the
+        // edge order (Algorithm 4, whose rounds are the line graph's
+        // dependence length). Its result is the engine's static build.
         let seed = 17;
         for g in [
             random_graph(2_000, 8_000, 3),
@@ -527,7 +530,9 @@ mod tests {
             let (n, m) = (g.num_vertices(), g.num_edges());
             let dyn_g = DynGraph::from_graph(&g);
             let prio = vertex_priorities(n, seed);
-            let (_, mis) = mis_from_scratch(&dyn_g, &prio, &mut RepairScratch::new());
+            let mut in_mis = vec![false; n];
+            let all: Vec<u32> = (0..n as u32).collect();
+            let (_, mis) = repair_mis(&dyn_g, &prio, &mut in_mis, &all, &mut RepairScratch::new());
             let pi = vertex_permutation(n, seed);
             assert_eq!(
                 mis.rounds as usize,
@@ -536,7 +541,14 @@ mod tests {
             );
             assert_eq!(mis.decided as usize, n, "each vertex is decided once");
 
-            let (_, matching) = matching_from_scratch(&dyn_g, seed, &mut RepairScratch::new());
+            let mut matching_state = MatchingState::new(n);
+            let (_, matching) = matching_state.repair_batch(
+                &dyn_g,
+                seed,
+                &[],
+                &dyn_g.live_slot_updates(),
+                &mut RepairScratch::new(),
+            );
             let el = dyn_g.to_edge_list();
             let edge_pi = edge_permutation(seed, &el);
             assert_eq!(
@@ -545,6 +557,13 @@ mod tests {
                 "matching rounds, n = {n}, m = {m}"
             );
             assert_eq!(matching.decided as usize, m, "each edge is decided once");
+
+            let engine = Engine::from_graph(&g, seed);
+            assert_eq!(
+                (in_mis, matching_state),
+                (engine.in_mis, engine.matching),
+                "full-seed repair vs the static build, n = {n}, m = {m}"
+            );
         }
     }
 
@@ -619,8 +638,8 @@ mod tests {
         let mut engine = Engine::from_graph(&random_graph(n, 60_000, 4), 13);
         assert_eq!(
             engine.mis_scratch_reset_items(),
-            n,
-            "the from-scratch build touches every vertex"
+            0,
+            "the static build does not use the repair scratch"
         );
         engine.apply_batch(&EdgeBatch::from_pairs(
             [(0, 10_000), (1, 15_000)],

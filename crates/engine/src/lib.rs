@@ -25,7 +25,8 @@
 //! * [`priority`] — the update-stable hashed priorities (per vertex and per
 //!   edge-endpoint-pair) the states are maintained under, plus helpers that
 //!   materialize them as [`greedy_prims::permutation::Permutation`]s for the
-//!   static oracle algorithms;
+//!   static algorithms: the engine's initial build runs the prefix solvers
+//!   under them, and the tests run the sequential oracles;
 //! * incremental repair — MIS *and* matching both ride the reusable round
 //!   machinery [`greedy_core::dag::repair_fixed_point`] (the rounds
 //!   algorithm generalized to a dirty frontier) and share one

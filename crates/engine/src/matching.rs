@@ -28,6 +28,7 @@
 
 use greedy_core::dag::{repair_fixed_point_with_scratch, ConflictDag, RepairScratch, RepairStats};
 use greedy_graph::edge_list::Edge;
+use rayon::prelude::*;
 
 use crate::dyn_graph::{DynGraph, SlotUpdate};
 use crate::priority::edge_priority;
@@ -189,13 +190,35 @@ pub(crate) struct MatchingState {
 
 impl MatchingState {
     /// An empty matching over `n` vertices.
+    #[cfg(test)]
     pub fn new(n: usize) -> Self {
+        Self::from_matched_slots(n, 0, &[], &[])
+    }
+
+    /// The state of a matching already at the greedy fixed point: slot `s`
+    /// holds `edges[s]`, and `matched_slots` are the matched slots. Fills
+    /// the per-slot priority cache as [`MatchingState::repair_batch`] does
+    /// for inserted slots.
+    pub(crate) fn from_matched_slots(
+        n: usize,
+        seed: u64,
+        edges: &[Edge],
+        matched_slots: &[u32],
+    ) -> Self {
+        let mut matched = vec![false; edges.len()];
+        let mut partner = vec![u32::MAX; n];
+        for &s in matched_slots {
+            let e = edges[s as usize];
+            matched[s as usize] = true;
+            partner[e.u as usize] = e.v;
+            partner[e.v as usize] = e.u;
+        }
         Self {
-            matched: Vec::new(),
-            prio: Vec::new(),
-            partner: vec![u32::MAX; n],
+            matched,
+            prio: edges.par_iter().map(|&e| edge_priority(seed, e)).collect(),
+            partner,
             pending_at: vec![Vec::new(); n],
-            size: 0,
+            size: matched_slots.len(),
         }
     }
 
@@ -376,29 +399,24 @@ impl MatchingState {
     }
 }
 
-/// Builds the greedy matching from scratch: every live slot seeded as an
-/// "insertion" over an empty matching — exactly the rounds algorithm on the
-/// line graph. Used at engine construction.
-pub(crate) fn matching_from_scratch(
-    graph: &DynGraph,
-    seed: u64,
-    scratch: &mut RepairScratch,
-) -> (MatchingState, RepairStats) {
-    let mut state = MatchingState::new(graph.num_vertices());
-    let all = graph.live_slot_updates();
-    let (_, stats) = state.repair_batch(graph, seed, &[], &all, scratch);
-    (state, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::priority::edge_permutation;
     use greedy_core::matching::sequential::sequential_matching;
     use greedy_graph::gen::random::random_graph;
 
     fn scratch() -> RepairScratch {
         RepairScratch::new()
+    }
+
+    /// The repair driver's full-seed run: every live slot inserted into an
+    /// empty matching.
+    fn seed_all(g: &DynGraph, seed: u64, sc: &mut RepairScratch) -> (MatchingState, RepairStats) {
+        let mut state = MatchingState::new(g.num_vertices());
+        let (_, stats) = state.repair_batch(g, seed, &[], &g.live_slot_updates(), sc);
+        (state, stats)
     }
 
     /// From-scratch oracle: the static sequential greedy matching under the
@@ -417,10 +435,16 @@ mod tests {
     #[test]
     fn scratch_matching_equals_sequential_oracle() {
         for seed in 0..4 {
-            let g = DynGraph::from_graph(&random_graph(300, 1_000, seed));
-            let (state, stats) = matching_from_scratch(&g, seed + 31, &mut scratch());
+            let graph = random_graph(300, 1_000, seed);
+            let g = DynGraph::from_graph(&graph);
+            let (state, stats) = seed_all(&g, seed + 31, &mut scratch());
             assert_eq!(state.matched_edges(), oracle(&g, seed + 31), "seed {seed}");
             assert!(stats.rounds >= 1, "from-scratch run must take rounds");
+            assert_eq!(
+                state.matched_edges(),
+                Engine::from_graph(&graph, seed + 31).matching(),
+                "seed {seed}: full-seed repair vs the engine's static build"
+            );
         }
     }
 
@@ -429,7 +453,7 @@ mod tests {
         let mut g = DynGraph::from_graph(&random_graph(150, 400, 2));
         let seed = 99;
         let mut sc = scratch();
-        let (mut state, _) = matching_from_scratch(&g, seed, &mut sc);
+        let (mut state, _) = seed_all(&g, seed, &mut sc);
         // A few single-edge updates, each checked against the oracle.
         for (ins, del) in [
             (vec![Edge::new(0, 149)], vec![]),
@@ -468,7 +492,7 @@ mod tests {
         g.insert_edges(&[Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3)]);
         for seed in 0..20 {
             let mut sc = scratch();
-            let (mut state, _) = matching_from_scratch(&g, seed, &mut sc);
+            let (mut state, _) = seed_all(&g, seed, &mut sc);
             let m = state.matched_edges();
             let deleted = g.delete_edges(&[m[0]]);
             let (_, _) = state.repair_batch(&g, seed, &deleted, &[], &mut sc);
@@ -489,7 +513,7 @@ mod tests {
         g.insert_edges(&[Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3)]);
         for seed in 0..10 {
             let mut sc = scratch();
-            let (mut state, _) = matching_from_scratch(&g, seed, &mut sc);
+            let (mut state, _) = seed_all(&g, seed, &mut sc);
             let before = state.matched_edges();
             let e = before[0];
             let deleted = g.delete_edges(&[e]);
@@ -507,7 +531,7 @@ mod tests {
     fn empty_batches_are_noops() {
         let g = DynGraph::from_graph(&random_graph(50, 120, 3));
         let mut sc = scratch();
-        let (mut state, _) = matching_from_scratch(&g, 5, &mut sc);
+        let (mut state, _) = seed_all(&g, 5, &mut sc);
         let before = state.clone();
         let (changed, stats) = state.repair_batch(&g, 5, &[], &[], &mut sc);
         assert!(changed.is_empty());

@@ -82,22 +82,10 @@ pub(crate) fn repair_mis(
     repair_fixed_point_with_scratch(&mut dag, in_mis, seeds, scratch)
 }
 
-/// Computes the greedy MIS from scratch (all vertices seeded over an
-/// all-`false` state) — used at engine construction.
-pub(crate) fn mis_from_scratch(
-    graph: &DynGraph,
-    prio: &[u64],
-    scratch: &mut RepairScratch,
-) -> (Vec<bool>, RepairStats) {
-    let mut in_mis = vec![false; graph.num_vertices()];
-    let seeds: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    let (_, stats) = repair_mis(graph, prio, &mut in_mis, &seeds, scratch);
-    (in_mis, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::priority::vertex_permutation;
     use greedy_core::mis::sequential::sequential_mis;
     use greedy_graph::edge_list::Edge;
@@ -111,15 +99,29 @@ mod tests {
             .collect()
     }
 
+    /// The repair driver's full-seed run: every vertex re-decided from an
+    /// all-`false` state.
+    fn seed_all(graph: &DynGraph, prio: &[u64], scratch: &mut RepairScratch) -> Vec<bool> {
+        let mut in_mis = vec![false; graph.num_vertices()];
+        let all: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        repair_mis(graph, prio, &mut in_mis, &all, scratch);
+        in_mis
+    }
+
     #[test]
     fn scratch_mis_equals_sequential_under_hashed_order() {
         for seed in 0..4 {
             let g = random_graph(400, 1_500, seed);
             let dyn_g = DynGraph::from_graph(&g);
             let prio = vertex_priorities(400, seed + 7);
-            let (flags, _) = mis_from_scratch(&dyn_g, &prio, &mut RepairScratch::new());
+            let flags = seed_all(&dyn_g, &prio, &mut RepairScratch::new());
             let pi = vertex_permutation(400, seed + 7);
             assert_eq!(mis_of(&flags), sequential_mis(&g, &pi), "seed {seed}");
+            assert_eq!(
+                mis_of(&flags),
+                Engine::from_graph(&g, seed + 7).mis(),
+                "seed {seed}: full-seed repair vs the engine's static build"
+            );
         }
     }
 
@@ -128,8 +130,9 @@ mod tests {
         let g = random_graph(200, 500, 1);
         let mut dyn_g = DynGraph::from_graph(&g);
         let prio = vertex_priorities(200, 5);
+        let pi = vertex_permutation(200, 5);
         let mut scratch = RepairScratch::new();
-        let (mut flags, _) = mis_from_scratch(&dyn_g, &prio, &mut scratch);
+        let mut flags = seed_all(&dyn_g, &prio, &mut scratch);
         for (u, v) in [(0u32, 150u32), (3, 77), (180, 2)] {
             let added = dyn_g.insert_edges(&[Edge::new(u, v)]);
             if added.is_empty() {
@@ -137,8 +140,8 @@ mod tests {
             }
             let before = flags.clone();
             let (changed, _) = repair_mis(&dyn_g, &prio, &mut flags, &[u, v], &mut scratch);
-            let (expected, _) = mis_from_scratch(&dyn_g, &prio, &mut RepairScratch::new());
-            assert_eq!(flags, expected, "after inserting ({u}, {v})");
+            let expected = sequential_mis(&dyn_g.to_graph(), &pi);
+            assert_eq!(mis_of(&flags), expected, "after inserting ({u}, {v})");
             let flipped: Vec<u32> = (0..200u32)
                 .filter(|&x| before[x as usize] != flags[x as usize])
                 .collect();

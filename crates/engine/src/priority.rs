@@ -18,9 +18,11 @@
 //!   currently present.
 //!
 //! [`vertex_permutation`] and [`edge_permutation`] materialize those orders
-//! as [`Permutation`]s over a concrete vertex set / edge list; the
-//! equivalence tests use them to run the static algorithms as oracles against
-//! the incrementally maintained state.
+//! as [`Permutation`]s over a concrete vertex set / edge list.
+//! `Engine::from_graph` builds its initial state with the static prefix
+//! solvers under them, and the equivalence tests run the sequential
+//! algorithms under them as oracles against the incrementally maintained
+//! state.
 
 use greedy_graph::edge_list::{Edge, EdgeList};
 use greedy_prims::permutation::{par_random_permutation, Permutation};

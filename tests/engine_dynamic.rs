@@ -168,3 +168,44 @@ fn engine_grows_from_empty_to_dense_and_back() {
     assert_equals_scratch(&engine, "drained");
     assert_eq!(engine.mis().len(), n);
 }
+
+#[test]
+fn from_graph_equals_one_batch_build() {
+    // `Engine::from_graph` builds both states with the static prefix
+    // solvers; an empty engine that receives every edge in one batch gets
+    // them from the repair driver. The greedy fixed point is unique, so the
+    // two must agree, serving export included.
+    let mut graphs: Vec<(String, Graph)> = (0..4)
+        .map(|s| (format!("random seed {s}"), random_graph(2_000, 8_000, s)))
+        .collect();
+    graphs.extend([
+        ("rmat".to_string(), rmat_graph(11, 8_000, 5)),
+        ("complete".to_string(), complete_graph(60)),
+        ("star".to_string(), star_graph(300)),
+        ("path".to_string(), path_graph(500)),
+        ("edgeless".to_string(), Graph::empty(40)),
+        (
+            "single edge".to_string(),
+            Graph::from_edges(2, &[Edge::new(0, 1)]),
+        ),
+    ]);
+    for (i, (name, g)) in graphs.iter().enumerate() {
+        let seed = 0xC0FFEE + i as u64;
+        let built = Engine::from_graph(g, seed);
+        assert_equals_scratch(&built, name);
+
+        let mut batched = Engine::new(g.num_vertices(), seed);
+        let all = g.to_edge_list().into_parts().1;
+        batched.apply_batch(&EdgeBatch {
+            insertions: all,
+            deletions: Vec::new(),
+        });
+        assert_eq!(built.mis(), batched.mis(), "MIS ({name})");
+        assert_eq!(built.matching(), batched.matching(), "matching ({name})");
+        assert_eq!(
+            built.server_snapshot(),
+            batched.server_snapshot(),
+            "serving export ({name})"
+        );
+    }
+}
