@@ -10,8 +10,9 @@
 //! In `--quick` mode it additionally times the two setup-phase hot paths the
 //! sort subsystem owns — random-permutation construction and edge-list → CSR
 //! build — the prefix and sequential matching kernels and the root-set MIS
-//! (`core_*` rows), the engine's construction and batch paths and the rayon
-//! shim's per-call fork cost (`prims_*` rows), and writes them to
+//! (`core_*` rows), the engine's construction, batch paths and arena batch
+//! calls (`engine_*` rows) and the rayon shim's per-call fork cost
+//! (`prims_*` rows), and writes them to
 //! `results/BENCH_quick.json`. CI
 //! uploads that file as an artifact on every run, giving future PRs a perf
 //! trajectory to compare against. Adding `--compare` diffs the fresh rows
@@ -163,8 +164,9 @@ struct QuickEntry {
 
 /// Times the permutation and CSR-build hot paths, the prefix and sequential
 /// matching kernels, the root-set MIS, the batch-dynamic engine's
-/// construction and its mixed-batch and matching-heavy update paths, and
-/// the rayon shim's per-call fork cost (each at every `--threads` value),
+/// construction, its mixed-batch and matching-heavy update paths and its
+/// arena's 4,096-edge insert and delete, and the rayon shim's per-call fork
+/// cost (each at every `--threads` value),
 /// plus the membership-probe microbench, and writes
 /// `results/BENCH_quick.json`.
 ///
@@ -301,6 +303,9 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: match_edges,
             seconds: secs(match_time),
         });
+        kernels.extend(run_on_threads(threads, || {
+            arena_per_call(threads, &graph, cfg.seed)
+        }));
         kernels.extend(run_on_threads(threads, || prims_per_call(threads)));
     }
 
@@ -444,6 +449,63 @@ fn per_call(
         m,
         us,
     }
+}
+
+/// Times the arena's batch path on `graph`: `DynGraph::insert_edges`, then
+/// `delete_edges`, of the same 4,096 fresh edges, each call asserted to
+/// apply all of them. One untimed pair, then `REPS` reps of `CALLS` pairs;
+/// a rep's sample is the mean wall time per call of each kind.
+fn arena_per_call(threads: usize, graph: &Graph, seed: u64) -> [PerCall; 2] {
+    const BATCH: usize = 4_096;
+    const CALLS: u32 = 10;
+    const REPS: usize = 7;
+    let mut g = DynGraph::from_graph(graph);
+    let n = graph.num_vertices() as u64;
+    let mut keys = std::collections::HashSet::new();
+    let batch: Vec<Edge> = (0..)
+        .map(|i| {
+            Edge::new(
+                (hash64(seed ^ 0xA7E4, 2 * i) % n) as u32,
+                (hash64(seed ^ 0xA7E4, 2 * i + 1) % n) as u32,
+            )
+            .canonical()
+        })
+        .filter(|e| !e.is_self_loop() && !g.has_edge(e.u, e.v) && keys.insert(e.sort_key()))
+        .take(BATCH)
+        .collect();
+    let pair = |g: &mut DynGraph| {
+        let start = std::time::Instant::now();
+        assert_eq!(g.insert_edges(&batch).len(), BATCH, "insert dropped edges");
+        let inserted = start.elapsed();
+        assert_eq!(g.delete_edges(&batch).len(), BATCH, "delete dropped edges");
+        (inserted, start.elapsed() - inserted)
+    };
+    pair(&mut g);
+    let (mut insert_us, mut delete_us) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        let (mut ins, mut del) = (std::time::Duration::ZERO, std::time::Duration::ZERO);
+        for _ in 0..CALLS {
+            let (i, d) = pair(&mut g);
+            ins += i;
+            del += d;
+        }
+        insert_us.push(ins.as_secs_f64() * 1e6 / f64::from(CALLS));
+        delete_us.push(del.as_secs_f64() * 1e6 / f64::from(CALLS));
+    }
+    [
+        ("engine_arena_insert_4096", insert_us),
+        ("engine_arena_delete_4096", delete_us),
+    ]
+    .map(|(name, mut us)| {
+        us.sort_by(f64::total_cmp);
+        PerCall {
+            name,
+            threads,
+            n: graph.num_vertices(),
+            m: graph.num_edges(),
+            us,
+        }
+    })
 }
 
 /// Times the shim's two fork points on the current pool: `rayon::join` of

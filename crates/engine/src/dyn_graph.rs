@@ -7,18 +7,18 @@
 //! list — but stores them in **one flat arena** instead of `Vec<Vec<u32>>`:
 //!
 //! * `nbr` / `slot` are two parallel arrays; vertex `v` owns the *segment*
-//!   `seg_start[v] .. seg_start[v] + seg_cap[v]`, its live entries
-//!   front-packed and sorted in the first `seg_len[v]` positions. The tail
-//!   of each segment is *slack* (PMA-style gaps), so a batch insert usually
-//!   shuffles entries locally inside the segment instead of touching
-//!   anything else;
+//!   its packed header names (start, live length, capacity — one load per
+//!   touched vertex), its live entries front-packed and sorted at the
+//!   segment's front. The tail of each segment is *slack* (PMA-style gaps),
+//!   so a batch insert usually shuffles entries locally inside the segment
+//!   instead of touching anything else;
 //! * a vertex that outgrows its segment is **relocated**: its merged list is
 //!   appended at the arena tail with fresh slack — an O(degree) local move
 //!   that orphans the old segment as *dead space*. When dead space piles up
-//!   (or a batch touches so many overflowing vertices that local moves would
-//!   thrash), the whole arena is **rebuilt in parallel** with fresh
-//!   per-vertex slack — an amortized cost fanned out over vertex blocks with
-//!   [`par_map_blocks`];
+//!   (or a batch overflows most of the segments it touches, or deletions
+//!   leave the arena mostly empty), the whole arena is **rebuilt in
+//!   parallel** with fresh per-vertex slack — O(n + m) work, amortized,
+//!   fanned out over vertex blocks with [`par_map_blocks`];
 //! * every live edge `{u, v}` owns a **stable dense slot id**, handed out by
 //!   a free-list allocator: the id survives every batch that does not delete
 //!   the edge itself (local shuffles, relocations, and arena rebuilds move
@@ -32,21 +32,20 @@
 //! `crate::matching`); the flat layout cuts the pointer chase on the hot
 //! membership probes.
 //!
-//! Batch updates keep the workspace's sorting discipline: the batch is
-//! canonicalized (self-loops dropped, endpoints ordered, duplicates removed)
-//! with the parallel radix sort from `greedy_prims::sort`, filtered against
-//! the current edge set in parallel, expanded into arcs, radix-sorted by
-//! source, and merged per touched vertex — one in-segment merge per vertex,
-//! fanned out with [`par_map_blocks`] so distinct vertices update
-//! concurrently while each segment stays a single owner's work. Every phase
-//! (including slot allocation and segment relocation, which walk the
-//! canonical batch in order) is deterministic, so the adjacency *and the
+//! A batch costs work in proportion to what it touches, on the calling
+//! thread: the batch is canonicalized on packed `u64` keys (self-loops
+//! dropped, endpoints ordered, sorted, duplicates removed) and filtered
+//! against the current edge set; slots are allocated or freed in that
+//! canonical order; the batch's arcs are sorted by `(source, target)`; and
+//! one ascending pass over the source groups merges, relocates or compacts
+//! each touched segment in place. A call allocates a few buffers of the
+//! batch's size and nothing per touched vertex. Only the rebuild fans out
+//! over threads. Every step is deterministic, so the adjacency *and the
 //! slot assignment* are byte-identical across thread counts.
 
 use greedy_graph::csr::Graph;
 use greedy_graph::edge_list::{Edge, EdgeList};
 use greedy_obs::{EventJournal, EventKind};
-use greedy_prims::pack::par_dedup_adjacent;
 use greedy_prims::scan::counts_to_offsets;
 use greedy_prims::sort::sort_by_key_parallel;
 use greedy_prims::util::{blocks, default_num_blocks, par_map_blocks};
@@ -125,19 +124,15 @@ pub struct SlotUpdate {
 /// The vertex set is fixed at construction; edges come and go in batches.
 #[derive(Debug, Clone)]
 pub struct DynGraph {
-    /// Neighbor arena; live entries of `v` are
-    /// `nbr[seg_start[v] .. seg_start[v] + seg_len[v]]`, strictly sorted.
+    /// Neighbor arena; live entries of `v` are `nbr[segs[v].live()]`,
+    /// strictly sorted.
     nbr: Vec<u32>,
     /// Slot arena, parallel to `nbr`: `slot[i]` is the slot id of the edge
     /// `{v, nbr[i]}` for `i` inside `v`'s live prefix.
     slot: Vec<u32>,
-    /// Segment start per vertex. Segments are disjoint but **not** ordered by
-    /// vertex id — a relocated vertex lives at the arena tail.
-    seg_start: Vec<usize>,
-    /// Segment capacity per vertex (live entries + slack).
-    seg_cap: Vec<usize>,
-    /// Live entries per vertex.
-    seg_len: Vec<usize>,
+    /// Segment header per vertex. Segments are disjoint but **not** ordered
+    /// by vertex id — a relocated vertex lives at the arena tail.
+    segs: Vec<Seg>,
     /// Arena entries belonging to no segment (orphaned by relocations).
     dead: usize,
     num_edges: usize,
@@ -174,6 +169,44 @@ impl PartialEq for DynGraph {
 
 impl Eq for DynGraph {}
 
+/// One vertex's segment header: where the segment starts in the arena, its
+/// live length and its capacity (live entries + slack). Packed into 16 bytes
+/// so a touched vertex costs one load.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seg {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+impl Seg {
+    /// A segment of capacity `cap` at `start` holding `len` live entries.
+    ///
+    /// # Panics
+    /// Panics if `cap` does not fit the header's `u32`.
+    fn new(start: usize, len: usize, cap: usize) -> Self {
+        debug_assert!(len <= cap);
+        Self {
+            start,
+            len: len as u32,
+            cap: u32::try_from(cap).expect("segment capacity exceeds u32"),
+        }
+    }
+
+    fn len(self) -> usize {
+        self.len as usize
+    }
+
+    fn cap(self) -> usize {
+        self.cap as usize
+    }
+
+    /// Arena range of the live prefix.
+    fn live(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len()
+    }
+}
+
 /// Slack granted to a vertex on rebuild/relocation, as a function of its live
 /// degree: half the degree again, at least 2 — so repeated inserts into one
 /// vertex amortize, and a previously-empty vertex can absorb a couple of
@@ -182,7 +215,7 @@ fn slack_for(len: usize) -> usize {
     (len / 2).max(2)
 }
 
-/// Packs an arc `(source, target)` into the radix key that groups by source
+/// Packs an arc `(source, target)` into the sort key that groups by source
 /// with sorted targets inside every group.
 #[inline]
 fn arc_key(source: u32, target: u32) -> u64 {
@@ -192,8 +225,11 @@ fn arc_key(source: u32, target: u32) -> u64 {
 /// An insertion arc: `(source, target, slot of the edge)`.
 type InsArc = (u32, u32, u32);
 
-/// Per-source arc group ranges; sources strictly increasing.
-type ArcGroups = Vec<(u32, std::ops::Range<usize>)>;
+/// The canonical edge a packed key (`Edge::sort_key`) stands for.
+#[inline]
+fn key_edge(key: u64) -> Edge {
+    Edge::new((key >> 32) as u32, key as u32)
+}
 
 impl DynGraph {
     /// An edgeless dynamic graph on `n` vertices.
@@ -205,9 +241,7 @@ impl DynGraph {
         Self {
             nbr: Vec::new(),
             slot: Vec::new(),
-            seg_start: vec![0; n],
-            seg_cap: vec![0; n],
-            seg_len: vec![0; n],
+            segs: vec![Seg::default(); n],
             dead: 0,
             num_edges: 0,
             slot_key: Vec::new(),
@@ -236,8 +270,13 @@ impl DynGraph {
                 slot: g.alloc_slot(e),
             })
             .collect();
-        let (arcs, groups) = arcs_of(&updates);
-        g.rebuild(&arcs, &groups, RebuildTrigger::Initial);
+        // A bulk build expands and sorts its arcs in parallel.
+        let mut arcs: Vec<InsArc> = updates
+            .par_iter()
+            .flat_map_iter(|u| [(u.edge.u, u.edge.v, u.slot), (u.edge.v, u.edge.u, u.slot)])
+            .collect();
+        sort_by_key_parallel(&mut arcs, |&(s, t, _)| arc_key(s, t));
+        g.rebuild(&arcs, RebuildTrigger::Initial);
         g.num_edges = edges.len();
         g
     }
@@ -245,7 +284,8 @@ impl DynGraph {
     /// Snapshots the current edge set back into CSR form (compacts the live
     /// prefixes; the slack never leaves the arena).
     pub fn to_graph(&self) -> Graph {
-        let offsets = counts_to_offsets(&self.seg_len);
+        let degrees: Vec<usize> = self.segs.iter().map(|s| s.len()).collect();
+        let offsets = counts_to_offsets(&degrees);
         let neighbors: Vec<u32> = (0..self.num_vertices() as u32)
             .into_par_iter()
             .flat_map_iter(|v| self.neighbors(v).iter().copied())
@@ -261,7 +301,7 @@ impl DynGraph {
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.seg_len.len()
+        self.segs.len()
     }
 
     /// Number of undirected edges currently present.
@@ -281,54 +321,50 @@ impl DynGraph {
     /// The degree of vertex `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        self.seg_len[v as usize]
+        self.segs[v as usize].len()
     }
 
     /// The sorted neighbors of vertex `v` — a contiguous arena slice.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        let start = self.seg_start[v as usize];
-        &self.nbr[start..start + self.seg_len[v as usize]]
+        &self.nbr[self.segs[v as usize].live()]
     }
 
     /// The slot ids of `v`'s incident edges, parallel to
     /// [`DynGraph::neighbors`].
     #[inline]
     pub fn neighbor_slots(&self, v: u32) -> &[u32] {
-        let start = self.seg_start[v as usize];
-        &self.slot[start..start + self.seg_len[v as usize]]
+        &self.slot[self.segs[v as usize].live()]
     }
 
     /// True if `{u, v}` is currently an edge: one binary search in the
     /// smaller endpoint's live prefix, touching only the neighbor arena.
     #[inline]
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        if u == v {
-            return false;
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a).binary_search(&b).is_ok()
+        self.find_arc(u, v).is_some()
     }
 
     /// The stable slot id of edge `{u, v}`, or `None` when absent.
     #[inline]
     pub fn edge_slot(&self, u: u32, v: u32) -> Option<u32> {
+        self.find_arc(u, v).map(|i| self.slot[i])
+    }
+
+    /// Arena index of an arc of `{u, v}`, or `None` when absent: one binary
+    /// search in the smaller endpoint's live prefix, each endpoint's header
+    /// read once.
+    #[inline]
+    fn find_arc(&self, u: u32, v: u32) -> Option<usize> {
         if u == v {
             return None;
         }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a)
-            .binary_search(&b)
+        let (su, sv) = (self.segs[u as usize], self.segs[v as usize]);
+        let (seg, target) = if su.len <= sv.len { (su, v) } else { (sv, u) };
+        let live = seg.live();
+        self.nbr[live.clone()]
+            .binary_search(&target)
             .ok()
-            .map(|i| self.neighbor_slots(a)[i])
+            .map(|i| live.start + i)
     }
 
     /// The edge occupying `slot`, or `None` when the slot is free.
@@ -337,7 +373,7 @@ impl DynGraph {
     /// Panics if `slot` was never allocated.
     pub fn slot_edge(&self, slot: u32) -> Option<Edge> {
         let key = self.slot_key[slot as usize];
-        (key != FREE_KEY).then(|| Edge::new((key >> 32) as u32, key as u32))
+        (key != FREE_KEY).then(|| key_edge(key))
     }
 
     /// Every live edge with its slot, in slot-id order.
@@ -347,7 +383,7 @@ impl DynGraph {
             .enumerate()
             .filter_map(|(s, &key)| {
                 (key != FREE_KEY).then(|| SlotUpdate {
-                    edge: Edge::new((key >> 32) as u32, key as u32),
+                    edge: key_edge(key),
                     slot: s as u32,
                 })
             })
@@ -400,40 +436,64 @@ impl DynGraph {
     /// Inserts a batch of edges. Self-loops, duplicates within the batch, and
     /// edges already present are ignored. Returns the edges actually added,
     /// canonical and sorted, each with its freshly assigned stable slot.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range, before anything is mutated.
     pub fn insert_edges(&mut self, edges: &[Edge]) -> Vec<SlotUpdate> {
-        let batch = self.canonical_batch(edges, /* want_present: */ false);
-        if batch.is_empty() {
+        let mut keys = self.canonical_keys(edges);
+        keys.retain(|&k| {
+            let e = key_edge(k);
+            !self.has_edge(e.u, e.v)
+        });
+        if keys.is_empty() {
             return Vec::new();
         }
-        let updates: Vec<SlotUpdate> = batch
-            .iter()
-            .map(|&e| SlotUpdate {
-                edge: e,
-                slot: self.alloc_slot(e),
-            })
-            .collect();
-        let (arcs, groups) = arcs_of(&updates);
-        let (fits, overflows): (Vec<_>, Vec<_>) = groups.into_iter().partition(|&(v, ref r)| {
-            self.seg_len[v as usize] + r.len() <= self.seg_cap[v as usize]
-        });
+        let mut updates = Vec::with_capacity(keys.len());
+        let mut arcs: Vec<InsArc> = Vec::with_capacity(2 * keys.len());
+        for &k in &keys {
+            let edge = key_edge(k);
+            let slot = self.alloc_slot(edge);
+            updates.push(SlotUpdate { edge, slot });
+            arcs.extend([(edge.u, edge.v, slot), (edge.v, edge.u, slot)]);
+        }
+        // Arcs are distinct, so an unstable sort yields the unique order.
+        arcs.sort_unstable_by_key(|&(s, t, _)| arc_key(s, t));
+        let groups = || arcs.chunk_by(|a, b| a.0 == b.0);
+        let (mut fits, mut overflows) = (0usize, 0usize);
+        for add in groups() {
+            let seg = self.segs[add[0].0 as usize];
+            if seg.len() + add.len() <= seg.cap() {
+                fits += 1;
+            } else {
+                overflows += 1;
+            }
+        }
         // A batch that overflows most of what it touches (the dense-growth
         // case — e.g. the first batch into a fresh graph) rebuilds outright:
         // one parallel pass beats thrashing the tail with relocations.
-        if overflows.len() > fits.len().max(4) {
-            let mut groups = fits;
-            groups.extend(overflows);
-            groups.sort_unstable_by_key(|&(v, _)| v);
-            self.rebuild(&arcs, &groups, RebuildTrigger::InsertOverflow);
+        if overflows > fits.max(4) {
+            self.rebuild(&arcs, RebuildTrigger::InsertOverflow);
         } else {
-            self.merge_insert_groups(&arcs, &fits);
-            for &(v, ref range) in &overflows {
-                self.relocate_with_merge(v, &arcs[range.clone()]);
+            // In-segment merges never change the arena's length, so the
+            // relocations, made in ascending vertex order, append at the
+            // same offsets whatever else the pass does.
+            for add in groups() {
+                let v = add[0].0;
+                let seg = self.segs[v as usize];
+                let new_len = seg.len() + add.len();
+                if new_len <= seg.cap() {
+                    let span = seg.start..seg.start + new_len;
+                    merge_into_segment(&mut self.nbr[span.clone()], &mut self.slot[span], add);
+                    self.segs[v as usize].len = new_len as u32;
+                } else {
+                    self.relocate_with_merge(v, add);
+                }
             }
             // Relocations orphan their old segments; compact once the dead
             // space dominates (amortized: a third of the arena must die
             // between rebuilds).
             if self.dead > 64 && self.dead * 3 > self.nbr.len() {
-                self.rebuild(&[], &[], RebuildTrigger::DeadSpace);
+                self.rebuild(&[], RebuildTrigger::DeadSpace);
             }
         }
         self.num_edges += updates.len();
@@ -443,64 +503,43 @@ impl DynGraph {
     /// Deletes a batch of edges. Self-loops, duplicates within the batch, and
     /// edges not present are ignored. Returns the edges actually removed,
     /// canonical and sorted, each with the slot id it held (now freed).
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range, before anything is mutated.
     pub fn delete_edges(&mut self, edges: &[Edge]) -> Vec<SlotUpdate> {
-        let batch = self.canonical_batch(edges, /* want_present: */ true);
-        if batch.is_empty() {
+        let keys = self.canonical_keys(edges);
+        // The slot lookup doubles as the presence filter.
+        let mut updates = Vec::with_capacity(keys.len());
+        for &k in &keys {
+            let edge = key_edge(k);
+            if let Some(slot) = self.edge_slot(edge.u, edge.v) {
+                updates.push(SlotUpdate { edge, slot });
+            }
+        }
+        if updates.is_empty() {
             return Vec::new();
         }
-        let updates: Vec<SlotUpdate> = batch
-            .par_iter()
-            .map(|&e| SlotUpdate {
-                edge: e,
-                slot: self.edge_slot(e.u, e.v).expect("filtered to present edges"),
-            })
-            .collect();
-
-        // Arcs grouped by source; one in-segment compaction per touched
-        // vertex, distinct segments in parallel.
-        let mut arcs: Vec<(u32, u32)> = batch
-            .par_iter()
-            .flat_map_iter(|e| [(e.u, e.v), (e.v, e.u)])
-            .collect();
-        sort_by_key_parallel(&mut arcs, |&(u, v)| arc_key(u, v));
-        let groups = group_by_source(arcs.len(), |i| arcs[i].0);
-        let segments = split_segments(
-            &mut self.nbr,
-            &mut self.slot,
-            &self.seg_start,
-            &self.seg_cap,
-            groups.iter().map(|&(v, _)| v),
-        );
-        let tasks: Vec<_> = segments
-            .into_iter()
-            .zip(&groups)
-            .map(|((seg_n, seg_s), &(v, ref range))| {
-                let targets: Vec<u32> = arcs[range.clone()].iter().map(|&(_, t)| t).collect();
-                (seg_n, seg_s, self.seg_len[v as usize], targets)
-            })
-            .collect();
-        let new_lens = par_map_blocks(tasks, &|(seg_n, seg_s, live, targets): (
-            &mut [u32],
-            &mut [u32],
-            usize,
-            Vec<u32>,
-        )| {
-            remove_from_segment(seg_n, seg_s, live, &targets)
-        });
-        for (&(v, _), new_len) in groups.iter().zip(new_lens) {
-            self.seg_len[v as usize] = new_len;
-        }
-        self.num_edges -= updates.len();
+        let mut arcs: Vec<u64> = Vec::with_capacity(2 * updates.len());
         for u in &updates {
             self.free_slot(u.slot);
+            arcs.extend([arc_key(u.edge.u, u.edge.v), arc_key(u.edge.v, u.edge.u)]);
         }
+        arcs.sort_unstable();
+        for gone in arcs.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let v = (gone[0] >> 32) as usize;
+            let live = self.segs[v].live();
+            let new_len =
+                remove_from_segment(&mut self.nbr[live.clone()], &mut self.slot[live], gone);
+            self.segs[v].len = new_len as u32;
+        }
+        self.num_edges -= updates.len();
 
         // Compact when the arena is mostly non-live, so memory tracks the
         // live edge set. The bound leaves the baseline slack (≈ live/2 + 2n)
         // alone and keeps rebuild cost amortized.
         let live_entries = 2 * self.num_edges;
         if self.nbr.len() > 64 && self.nbr.len() > 3 * live_entries + 4 * self.num_vertices() {
-            self.rebuild(&[], &[], RebuildTrigger::Shrink);
+            self.rebuild(&[], RebuildTrigger::Shrink);
         }
         updates
     }
@@ -509,15 +548,12 @@ impl DynGraph {
     /// first violation. Meant for tests and the property suite — O(m log m).
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices();
-        if self.seg_start.len() != n || self.seg_cap.len() != n || self.seg_len.len() != n {
-            return Err("per-vertex arrays have the wrong length".into());
-        }
         if self.nbr.len() != self.slot.len() {
             return Err("nbr and slot arenas differ in length".into());
         }
         // Segments must be disjoint and, with the dead space, tile the arena.
         let mut spans: Vec<(usize, usize, u32)> = (0..n)
-            .map(|v| (self.seg_start[v], self.seg_cap[v], v as u32))
+            .map(|v| (self.segs[v].start, self.segs[v].cap(), v as u32))
             .collect();
         spans.sort_unstable();
         let mut covered = 0usize;
@@ -542,8 +578,9 @@ impl DynGraph {
         }
         let mut live_arcs = 0usize;
         for v in 0..n as u32 {
-            let len = self.seg_len[v as usize];
-            if len > self.seg_cap[v as usize] {
+            let seg = self.segs[v as usize];
+            let len = seg.len();
+            if len > seg.cap() {
                 return Err(format!("vertex {v} live prefix exceeds its segment"));
             }
             live_arcs += len;
@@ -623,74 +660,36 @@ impl DynGraph {
         self.free_slots.push(slot);
     }
 
-    /// Canonicalizes a raw batch and keeps the edges whose presence in the
-    /// current graph matches `want_present`: radix sort + parallel dedup +
-    /// parallel membership filter.
+    /// Canonicalizes a raw batch into packed keys (`Edge::sort_key`):
+    /// self-loops dropped, endpoints ordered, sorted, duplicates removed.
     ///
     /// # Panics
     /// Panics if an endpoint is out of range.
-    fn canonical_batch(&self, edges: &[Edge], want_present: bool) -> Vec<Edge> {
+    fn canonical_keys(&self, edges: &[Edge]) -> Vec<u64> {
         let n = self.num_vertices();
-        let mut batch: Vec<Edge> = edges
-            .par_iter()
-            .filter(|e| !e.is_self_loop())
-            .map(|e| e.canonical())
-            .collect();
-        for e in &batch {
+        let mut keys = Vec::with_capacity(edges.len());
+        for e in edges.iter().filter(|e| !e.is_self_loop()) {
+            let e = e.canonical();
             assert!(
                 (e.v as usize) < n,
                 "DynGraph: edge ({}, {}) out of range for n={n}",
                 e.u,
                 e.v
             );
+            keys.push(e.sort_key());
         }
-        sort_by_key_parallel(&mut batch, |e| e.sort_key());
-        let batch = par_dedup_adjacent(batch);
-        batch
-            .into_par_iter()
-            .filter(|e| self.has_edge(e.u, e.v) == want_present)
-            .collect()
-    }
-
-    /// In-segment path: every listed vertex has room, so each group merges
-    /// into its own segment (a local back-to-front shuffle across the slack),
-    /// distinct segments in parallel.
-    fn merge_insert_groups(&mut self, arcs: &[InsArc], groups: &[(u32, std::ops::Range<usize>)]) {
-        let segments = split_segments(
-            &mut self.nbr,
-            &mut self.slot,
-            &self.seg_start,
-            &self.seg_cap,
-            groups.iter().map(|&(v, _)| v),
-        );
-        let tasks: Vec<_> = segments
-            .into_iter()
-            .zip(groups)
-            .map(|((seg_n, seg_s), &(v, ref range))| {
-                (seg_n, seg_s, self.seg_len[v as usize], &arcs[range.clone()])
-            })
-            .collect();
-        par_map_blocks(tasks, &|(seg_n, seg_s, live, add): (
-            &mut [u32],
-            &mut [u32],
-            usize,
-            &[InsArc],
-        )| {
-            merge_into_segment(seg_n, seg_s, live, add);
-        });
-        for &(v, ref range) in groups {
-            self.seg_len[v as usize] += range.len();
-        }
+        // Keys are unique after the dedup, so stability does not matter.
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
     /// Local overflow fix: appends `v`'s merged list (old live prefix + the
     /// sorted `add` arcs) at the arena tail with fresh slack, orphaning the
     /// old segment as dead space. O(degree), touches nothing else.
     fn relocate_with_merge(&mut self, v: u32, add: &[InsArc]) {
-        let v = v as usize;
-        let live = self.seg_len[v];
-        let old_start = self.seg_start[v];
-        let new_len = live + add.len();
+        let old = self.segs[v as usize];
+        let new_len = old.len() + add.len();
         let new_cap = new_len + slack_for(new_len);
         let new_start = self.nbr.len();
         self.nbr.resize(new_start + new_cap, 0);
@@ -701,20 +700,18 @@ impl DynGraph {
         let (head_n, tail_n) = self.nbr.split_at_mut(new_start);
         let (head_s, tail_s) = self.slot.split_at_mut(new_start);
         merge_live_with_arcs(
-            &head_n[old_start..old_start + live],
-            &head_s[old_start..old_start + live],
+            &head_n[old.live()],
+            &head_s[old.live()],
             add,
             &mut tail_n[..new_len],
             &mut tail_s[..new_len],
         );
-        self.dead += self.seg_cap[v];
-        self.seg_start[v] = new_start;
-        self.seg_cap[v] = new_cap;
-        self.seg_len[v] = new_len;
+        self.dead += old.cap();
+        self.segs[v as usize] = Seg::new(new_start, new_len, new_cap);
         self.relocations += 1;
         if let Some(j) = &self.journal {
             j.record(EventKind::ArenaRelocation {
-                vertex: v as u64,
+                vertex: u64::from(v),
                 new_cap: new_cap as u64,
             });
         }
@@ -725,24 +722,21 @@ impl DynGraph {
     /// live prefixes on the way. Fanned out over contiguous vertex blocks
     /// with [`par_map_blocks`]; each block writes a disjoint region of the
     /// new arena, so the copy is race-free and deterministic.
-    fn rebuild(
-        &mut self,
-        arcs: &[InsArc],
-        groups: &[(u32, std::ops::Range<usize>)],
-        trigger: RebuildTrigger,
-    ) {
+    fn rebuild(&mut self, arcs: &[InsArc], trigger: RebuildTrigger) {
         let n = self.num_vertices();
-        // Additions per vertex (sparse -> dense walk of the sorted groups).
+        // Additions per vertex (sparse -> dense walk of the source groups).
         let mut add_range: Vec<std::ops::Range<usize>> = vec![0..0; n];
-        for &(v, ref r) in groups {
-            add_range[v as usize] = r.clone();
+        let mut at = 0;
+        for add in arcs.chunk_by(|a, b| a.0 == b.0) {
+            add_range[add[0].0 as usize] = at..at + add.len();
+            at += add.len();
         }
         let caps: Vec<usize> = self
-            .seg_len
+            .segs
             .par_iter()
             .zip(add_range.par_iter())
-            .map(|(&len, r)| {
-                let new_len = len + r.len();
+            .map(|(seg, r)| {
+                let new_len = seg.len() + r.len();
                 new_len + slack_for(new_len)
             })
             .collect();
@@ -782,25 +776,23 @@ impl DynGraph {
         )| {
             for v in vb {
                 let dst = new_start_ref[v] - base;
-                let live = this.seg_len[v];
-                let src = this.seg_start[v];
+                let old = this.segs[v];
                 let add = &arcs[add_range_ref[v].clone()];
+                let new_len = old.len() + add.len();
                 merge_live_with_arcs(
-                    &this.nbr[src..src + live],
-                    &this.slot[src..src + live],
+                    &this.nbr[old.live()],
+                    &this.slot[old.live()],
                     add,
-                    &mut chunk_n[dst..dst + live + add.len()],
-                    &mut chunk_s[dst..dst + live + add.len()],
+                    &mut chunk_n[dst..dst + new_len],
+                    &mut chunk_s[dst..dst + new_len],
                 );
             }
         });
-        for (len, r) in self.seg_len.iter_mut().zip(&add_range) {
-            *len += r.len();
+        for (v, seg) in self.segs.iter_mut().enumerate() {
+            *seg = Seg::new(new_start[v], seg.len() + add_range[v].len(), caps[v]);
         }
         self.nbr = new_nbr;
         self.slot = new_slot;
-        self.seg_start = new_start[..n].to_vec();
-        self.seg_cap = caps;
         self.dead = 0;
         self.rebuilds += 1;
         self.rebuilds_by[trigger.index()] += 1;
@@ -812,72 +804,6 @@ impl DynGraph {
             });
         }
     }
-}
-
-/// Hands out exclusive `(nbr, slot)` sub-slices of the listed vertices'
-/// segments — the ownership split that lets per-vertex merges run in
-/// parallel without synchronization. Segments are disjoint but not ordered
-/// by vertex id (relocations move vertices to the tail), so the split walks
-/// them in arena order and restores the caller's order at the end.
-fn split_segments<'a>(
-    nbr: &'a mut [u32],
-    slot: &'a mut [u32],
-    seg_start: &[usize],
-    seg_cap: &[usize],
-    sources: impl Iterator<Item = u32>,
-) -> Vec<(&'a mut [u32], &'a mut [u32])> {
-    let mut order: Vec<(usize, usize, usize)> = sources
-        .enumerate()
-        .map(|(i, v)| (seg_start[v as usize], seg_cap[v as usize], i))
-        .collect();
-    order.sort_unstable();
-    let mut out: Vec<Option<(&'a mut [u32], &'a mut [u32])>> =
-        (0..order.len()).map(|_| None).collect();
-    let mut rest_nbr = nbr;
-    let mut rest_slot = slot;
-    let mut consumed = 0usize;
-    for (start, cap, i) in order {
-        let (_, rem_n) = std::mem::take(&mut rest_nbr).split_at_mut(start - consumed);
-        let (_, rem_s) = std::mem::take(&mut rest_slot).split_at_mut(start - consumed);
-        let (seg_n, rem_n) = rem_n.split_at_mut(cap);
-        let (seg_s, rem_s) = rem_s.split_at_mut(cap);
-        rest_nbr = rem_n;
-        rest_slot = rem_s;
-        consumed = start + cap;
-        out[i] = Some((seg_n, seg_s));
-    }
-    out.into_iter()
-        .map(|s| s.expect("every source got its segment"))
-        .collect()
-}
-
-/// Expands effective insertions into `(source, target, slot)` arcs grouped by
-/// source (radix sort), plus the per-source group ranges.
-fn arcs_of(updates: &[SlotUpdate]) -> (Vec<InsArc>, ArcGroups) {
-    let mut arcs: Vec<InsArc> = updates
-        .par_iter()
-        .flat_map_iter(|u| [(u.edge.u, u.edge.v, u.slot), (u.edge.v, u.edge.u, u.slot)])
-        .collect();
-    sort_by_key_parallel(&mut arcs, |&(s, t, _)| arc_key(s, t));
-    let groups = group_by_source(arcs.len(), |i| arcs[i].0);
-    (arcs, groups)
-}
-
-/// Walks sorted arcs and returns `(source, range)` per maximal same-source
-/// run. Sources come out strictly increasing.
-fn group_by_source(len: usize, source_at: impl Fn(usize) -> u32) -> ArcGroups {
-    let mut groups = Vec::new();
-    let mut start = 0;
-    while start < len {
-        let source = source_at(start);
-        let mut end = start + 1;
-        while end < len && source_at(end) == source {
-            end += 1;
-        }
-        groups.push((source, start..end));
-        start = end;
-    }
-    groups
 }
 
 /// Front-to-back merge of a sorted live prefix with sorted, disjoint
@@ -919,14 +845,14 @@ fn merge_live_with_arcs(
     }
 }
 
-/// Merges the sorted, disjoint `add` arcs into the segment's live prefix of
-/// length `live`, in place, back to front — the local shuffle across the
-/// segment's slack. The caller guarantees `live + add.len()` fits the
-/// segment.
-fn merge_into_segment(seg_n: &mut [u32], seg_s: &mut [u32], live: usize, add: &[InsArc]) {
-    let mut i = live;
+/// Merges the sorted, disjoint `add` arcs into a segment's live prefix, in
+/// place, back to front — the local shuffle across the segment's slack. The
+/// slices span the merged result: the first `len - add.len()` entries are
+/// the live prefix, the rest is slack the merge fills.
+fn merge_into_segment(seg_n: &mut [u32], seg_s: &mut [u32], add: &[InsArc]) {
+    let mut i = seg_n.len() - add.len();
     let mut j = add.len();
-    let mut w = live + add.len();
+    let mut w = seg_n.len();
     while j > 0 {
         if i > 0 && seg_n[i - 1] > add[j - 1].1 {
             w -= 1;
@@ -946,27 +872,22 @@ fn merge_into_segment(seg_n: &mut [u32], seg_s: &mut [u32], live: usize, add: &[
     }
 }
 
-/// Removes the sorted `targets` (all present) from the segment's live prefix
-/// of length `live`, compacting toward the front. Returns the new live
-/// length.
-fn remove_from_segment(
-    seg_n: &mut [u32],
-    seg_s: &mut [u32],
-    live: usize,
-    targets: &[u32],
-) -> usize {
+/// Removes the targets of the sorted packed `gone` arcs (one source, all
+/// present) from a live prefix, compacting toward the front. Returns the
+/// new live length.
+fn remove_from_segment(live_n: &mut [u32], live_s: &mut [u32], gone: &[u64]) -> usize {
     let mut w = 0usize;
     let mut j = 0usize;
-    for i in 0..live {
-        if j < targets.len() && targets[j] == seg_n[i] {
+    for i in 0..live_n.len() {
+        if j < gone.len() && gone[j] as u32 == live_n[i] {
             j += 1;
         } else {
-            seg_n[w] = seg_n[i];
-            seg_s[w] = seg_s[i];
+            live_n[w] = live_n[i];
+            live_s[w] = live_s[i];
             w += 1;
         }
     }
-    debug_assert_eq!(j, targets.len(), "remove_from_segment: target not present");
+    debug_assert_eq!(j, gone.len(), "remove_from_segment: target not present");
     w
 }
 
@@ -1195,6 +1116,81 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn insert_rejects_out_of_range() {
         DynGraph::new(3).insert_edges(&edges(&[(0, 3)]));
+    }
+
+    /// Order-sensitive hash of every live edge with its slot id.
+    fn slot_fingerprint(g: &DynGraph) -> u64 {
+        g.live_slot_updates()
+            .iter()
+            .fold(0, |h, u| hash64(h ^ u.edge.sort_key(), u64::from(u.slot)))
+    }
+
+    #[test]
+    fn batch_stream_pins_slot_ids_and_layout() {
+        // A fixed stream of mixed batches on a small graph: in-segment
+        // merges, hub relocations, slot recycling and dead-space rebuilds.
+        // Slot ids reach clients in every round delta and WAL record, so
+        // the batch path must hand out exactly these ids and leave exactly
+        // this arena layout behind.
+        let n = 120u64;
+        let mut g = DynGraph::from_graph(&random_graph(n as usize, 300, 11));
+        let mut fingerprints = Vec::new();
+        for b in 0..24u64 {
+            let hub = (b % 4) as u32;
+            let ins: Vec<Edge> = (0..16)
+                .map(|i| Edge::new(hub, (hash64(b, i) % n) as u32))
+                .chain((0..16).map(|i| {
+                    Edge::new(
+                        (hash64(b + 100, i) % n) as u32,
+                        (hash64(b + 200, i) % n) as u32,
+                    )
+                }))
+                .collect();
+            let live = g.live_slot_updates();
+            let del: Vec<Edge> = (0..12)
+                .map(|i| live[(hash64(b + 300, i) % live.len() as u64) as usize].edge)
+                .collect();
+            g.delete_edges(&del);
+            g.insert_edges(&ins);
+            g.validate().unwrap();
+            fingerprints.push(slot_fingerprint(&g));
+        }
+        // Captured from the batch path before it became one sequential
+        // pass; the rewrite had to reproduce them unchanged.
+        assert_eq!(
+            fingerprints,
+            [
+                360851179418918403,
+                15347076476503500972,
+                11359830419137125804,
+                71219963748706727,
+                12245133555153056431,
+                1440902878390055690,
+                3379806654043343184,
+                1662928842105226609,
+                4337650021911357202,
+                5249596426358968727,
+                326715518544392292,
+                17219904874368251222,
+                14668325548671902480,
+                3885702327547395111,
+                1734115076704144487,
+                4531731652480353186,
+                16274588610249015276,
+                11702763798170320931,
+                1854288932754550915,
+                16249312270363398418,
+                18064659664898770921,
+                14462997942922641009,
+                5439454850030979925,
+                14961425593389911510,
+            ]
+        );
+        assert_eq!(
+            (g.arena_capacity(), g.dead_entries(), g.relocations()),
+            (1_769, 21, 98)
+        );
+        assert_eq!(RebuildTrigger::ALL.map(|t| g.rebuilds_for(t)), [1, 0, 1, 0]);
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //! ## Pieces
 //!
 //! * [`dyn_graph::DynGraph`] — a flat **slack-CSR** arena (per-vertex
-//!   segments with PMA-style gaps, local in-segment shuffles on insert,
-//!   amortized parallel rebuilds on overflow) under parallel batch
-//!   insert/delete (radix-sort + per-segment merge, via
-//!   `greedy_prims::sort`), convertible to/from
-//!   [`greedy_graph::csr::Graph`]. A free-list allocator gives every live
-//!   edge a **stable dense slot id** that survives unrelated batches;
+//!   segments with PMA-style gaps behind one packed header per vertex,
+//!   local in-segment shuffles on insert, amortized parallel rebuilds on
+//!   overflow). A batch insert or delete is one pass on the calling thread
+//!   over the batch's arcs sorted by `(source, target)`, with no per-vertex
+//!   allocation; only the rebuild fans out over threads. Convertible
+//!   to/from [`greedy_graph::csr::Graph`]. A free-list allocator gives
+//!   every live edge a **stable dense slot id** that survives unrelated
+//!   batches;
 //! * [`priority`] — the update-stable hashed priorities (per vertex and per
 //!   edge-endpoint-pair) the states are maintained under, plus helpers that
 //!   materialize them as [`greedy_prims::permutation::Permutation`]s for the

@@ -67,6 +67,9 @@ struct MatchingDag<'a> {
     /// endpoints' lists; the lists are empty between repairs (the pending
     /// set drains to nothing).
     pending_at: &'a mut [Vec<u32>],
+    /// Running total of the lists' capacities; see
+    /// [`MatchingState::pending_index_capacity`].
+    pending_cap: &'a mut usize,
 }
 
 impl ConflictDag for MatchingDag<'_> {
@@ -120,10 +123,16 @@ impl ConflictDag for MatchingDag<'_> {
         }
     }
 
+    /// The only place a pending list grows, so it keeps the capacity total;
+    /// retirement's `swap_remove` never shrinks a list.
     fn on_enter_pending(&mut self, item: u32) {
         let e = self.graph.slot_edge(item).expect("pending slot is live");
-        self.pending_at[e.u as usize].push(item);
-        self.pending_at[e.v as usize].push(item);
+        for x in [e.u, e.v] {
+            let list = &mut self.pending_at[x as usize];
+            let before = list.capacity();
+            list.push(item);
+            *self.pending_cap += list.capacity() - before;
+        }
     }
 
     fn on_retire_pending(&mut self, item: u32) {
@@ -171,7 +180,10 @@ impl ConflictDag for MatchingDag<'_> {
 /// The matched-edge state: per-slot membership flags (the fixed point the
 /// round machinery maintains) plus the derived per-vertex partner array the
 /// serving export copies out.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality ignores the pending-capacity total, which is bookkeeping about
+/// allocations, not state.
+#[derive(Debug)]
 pub(crate) struct MatchingState {
     /// `matched[s]` — slot `s`'s edge is in the matching. Indexed by slot id;
     /// grows with the slot table, `false` at free slots.
@@ -185,8 +197,39 @@ pub(crate) struct MatchingState {
     /// Per-vertex pending-slot lists for the repair's conflict index; all
     /// empty between repairs. Kept here so the allocation is reused.
     pending_at: Vec<Vec<u32>>,
+    /// Sum of `pending_at`'s list capacities, kept as lists grow so the
+    /// gauge costs O(1), not a walk over all n lists.
+    pending_cap: usize,
     size: usize,
 }
+
+/// A clone's lists carry their own capacities (`Vec::clone` does not keep
+/// capacity), so the total is recounted.
+impl Clone for MatchingState {
+    fn clone(&self) -> Self {
+        let pending_at = self.pending_at.clone();
+        Self {
+            matched: self.matched.clone(),
+            prio: self.prio.clone(),
+            partner: self.partner.clone(),
+            pending_cap: pending_at.iter().map(Vec::capacity).sum(),
+            pending_at,
+            size: self.size,
+        }
+    }
+}
+
+impl PartialEq for MatchingState {
+    fn eq(&self, other: &Self) -> bool {
+        self.matched == other.matched
+            && self.prio == other.prio
+            && self.partner == other.partner
+            && self.pending_at == other.pending_at
+            && self.size == other.size
+    }
+}
+
+impl Eq for MatchingState {}
 
 impl MatchingState {
     /// An empty matching over `n` vertices.
@@ -218,6 +261,7 @@ impl MatchingState {
             prio: edges.par_iter().map(|&e| edge_priority(seed, e)).collect(),
             partner,
             pending_at: vec![Vec::new(); n],
+            pending_cap: 0,
             size: matched_slots.len(),
         }
     }
@@ -236,9 +280,9 @@ impl MatchingState {
     /// Total capacity retained across the per-vertex pending-slot lists —
     /// the repair working memory this state keeps allocated between batches
     /// (the lists drain to *empty* after every repair but keep their
-    /// buffers). Exposed as an engine-internals gauge.
+    /// buffers). Exposed as an engine-internals gauge; O(1).
     pub(crate) fn pending_index_capacity(&self) -> usize {
-        self.pending_at.iter().map(|l| l.capacity()).sum()
+        self.pending_cap
     }
 
     /// True when edge `{u, v}` is currently matched.
@@ -344,6 +388,7 @@ impl MatchingState {
             prio: &self.prio,
             partner: &mut self.partner,
             pending_at: &mut self.pending_at,
+            pending_cap: &mut self.pending_cap,
         };
         let (changed, stats) =
             repair_fixed_point_with_scratch(&mut dag, &mut self.matched, &seeds, scratch);
@@ -525,6 +570,33 @@ mod tests {
                 "seed {seed}: net delta must be empty, got {changed:?}"
             );
         }
+    }
+
+    #[test]
+    fn pending_capacity_gauge_equals_a_recount() {
+        let recount =
+            |state: &MatchingState| -> usize { state.pending_at.iter().map(Vec::capacity).sum() };
+        let mut g = DynGraph::from_graph(&random_graph(400, 1_600, 8));
+        let seed = 21;
+        let mut sc = scratch();
+        let (mut state, _) = seed_all(&g, seed, &mut sc);
+        assert_eq!(state.pending_index_capacity(), recount(&state));
+        for round in 0..20u32 {
+            let (a, b) = (round * 7 % 400, (round * 13 + 100) % 400);
+            let matched = state.matched_edges();
+            let deleted = g.delete_edges(&matched[..matched.len().min(5)]);
+            let inserted = g.insert_edges(&[Edge::new(a, b), Edge::new(a, (b + 1) % 400)]);
+            state.repair_batch(&g, seed, &deleted, &inserted, &mut sc);
+            assert_eq!(
+                state.pending_index_capacity(),
+                recount(&state),
+                "round {round}"
+            );
+        }
+        assert!(recount(&state) > 0, "the stream never grew a pending list");
+        let clone = state.clone();
+        assert_eq!(clone.pending_index_capacity(), recount(&clone));
+        assert_eq!(clone, state, "equality ignores retained capacity");
     }
 
     #[test]
