@@ -59,6 +59,12 @@ pub fn spanning_forest(edges: &EdgeList, pi: &Permutation, policy: PrefixPolicy)
         m
     );
     let order = pi.order();
+    // Only the adaptive policy reads the maximum degree, and it is an O(n + m)
+    // count: take it once, not once per prefix.
+    let max_degree = match policy {
+        PrefixPolicy::Adaptive { .. } => edges.max_degree() as usize,
+        _ => 0,
+    };
     let mut uf = UnionFind::new(edges.num_vertices());
     let mut kept = Vec::new();
     let mut start = 0usize;
@@ -66,7 +72,7 @@ pub fn spanning_forest(edges: &EdgeList, pi: &Permutation, policy: PrefixPolicy)
 
     while start < m {
         let remaining = m - start;
-        let k = policy.prefix_size(m, remaining, edges.max_degree() as usize, round);
+        let k = policy.prefix_size(m, remaining, max_degree, round);
         round += 1;
         let prefix = &order[start..start + k];
 

@@ -53,9 +53,11 @@
 //!
 //! `--crash-recover` runs a different job entirely: it spawns this binary
 //! as a child that serves over a write-ahead log and `abort()`s mid-stream,
-//! then recovers the directory, independently replays the full logged
-//! history (both reconstruction paths), and restarts a server from it —
-//! exiting nonzero on any divergence.
+//! tears the log's final record, recovers the directory and independently
+//! replays the full logged history (both reconstruction paths). A second
+//! child then serves from the same directory and aborts too; its rounds
+//! must survive into the second recovery and audit, before a server
+//! restarts from the directory — exiting nonzero on any divergence.
 //!
 //! ```text
 //! cargo run --release -p greedy_bench --bin serve_load -- --quick
@@ -995,13 +997,17 @@ fn run_crash_child(cfg: &LoadConfig) -> ! {
 }
 
 /// Crash-recovery audit: spawn this binary as a child that serves with a
-/// WAL and aborts mid-stream, then (1) recover the directory, (2)
+/// WAL and aborts mid-stream, tear 5 bytes off the newest segment so the
+/// final write is certainly torn, then (1) recover the directory and (2)
 /// independently replay the FULL logged history from the base checkpoint —
 /// batch-replay through a fresh engine AND delta-fold through a replica —
-/// and require byte-identical agreement with the recovered state, and (3)
-/// restart a real server from the directory and check it serves that state
-/// and continues the round numbering. Any divergence panics, so the
-/// process exits nonzero and CI fails.
+/// requiring byte-identical agreement with the recovered state. A second
+/// child then serves from the same directory (recovering through `serve_on`
+/// and `Wal::reopen`), commits and aborts; the second recovery must reach
+/// past the first and pass the same audit. Finally (3) a real server
+/// restarts from the directory and must serve that state and continue the
+/// round numbering. Any divergence panics, so the process exits nonzero and
+/// CI fails.
 fn run_crash_recover(cfg: &LoadConfig) {
     let dir = cfg.data_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("greedy_serve_load_crash_{}", std::process::id()))
@@ -1009,35 +1015,88 @@ fn run_crash_recover(cfg: &LoadConfig) {
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("== serve_load --crash-recover: data dir {}", dir.display());
 
+    spawn_crash_child(&dir, cfg.seed);
+    wal::tear_log_tail(&dir, 5).expect("tear the newest segment");
+    let first = recover_and_audit(&dir, "first");
+    assert!(
+        first.round > 0,
+        "the child aborted before committing a single round; nothing was audited"
+    );
+
+    spawn_crash_child(&dir, cfg.seed);
+    let second = recover_and_audit(&dir, "second");
+    assert!(
+        second.round > first.round,
+        "the second life's rounds were lost: recovery reached round {} again",
+        second.round
+    );
+
+    // Restart a real server from the directory. The engine argument is a
+    // decoy: the directory is authoritative.
+    let audited = second.engine.server_snapshot();
+    let handle = serve(
+        Engine::new(1, cfg.seed),
+        ServerConfig {
+            wal: Some(WalConfig::durable(dir.clone())),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("restart from the recovered directory");
+    assert_eq!(handle.committed_round(), second.round);
+    assert_eq!(
+        handle.snapshot().state,
+        audited,
+        "restarted server does not serve the recovered state"
+    );
+    let mut client = Client::connect(handle.addr()).expect("connect to restarted server");
+    let delta = client
+        .insert_edges(&[(1, 2)])
+        .expect("post-recovery insert");
+    assert_eq!(
+        delta.round,
+        second.round + 1,
+        "round ids must continue after recovery, not restart"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    eprintln!(
+        "   crash-recovery audit passed: state byte-identical, rounds resumed at {}",
+        second.round + 1
+    );
+}
+
+/// Runs this binary as an aborting `--crash-child` on `dir`.
+fn spawn_crash_child(dir: &Path, seed: u64) {
     let exe = std::env::current_exe().expect("current_exe");
     let status = std::process::Command::new(exe)
         .arg("--crash-child")
         .arg("--data-dir")
-        .arg(&dir)
+        .arg(dir)
         .arg("--seed")
-        .arg(cfg.seed.to_string())
+        .arg(seed.to_string())
         .status()
         .expect("spawn crash child");
     assert!(
         !status.success(),
         "the child is supposed to abort mid-stream, but exited cleanly ({status})"
     );
+}
 
+/// Recovers the crashed `dir`, then audits the recovered state against an
+/// independent replay of the full logged history from the base checkpoint,
+/// through both reconstruction paths.
+fn recover_and_audit(dir: &Path, life: &str) -> wal::Recovered {
     let recover_start = Instant::now();
-    let recovered = wal::recover(&dir)
+    let recovered = wal::recover(dir)
         .expect("recovery must not error on a crashed directory")
         .expect("the crashed child must have left a log behind");
     let recover_s = recover_start.elapsed().as_secs_f64();
-    assert!(
-        recovered.round > 0,
-        "the child aborted before committing a single round; nothing was audited"
-    );
     assert_eq!(
         recovered.checkpoint_round, 0,
         "the child never checkpoints, so recovery must come from the base checkpoint"
     );
     eprintln!(
-        "   recovered round {} in {recover_s:.3} s ({} records replayed{})",
+        "   {life} recovery: round {} in {recover_s:.3} s ({} records replayed{})",
         recovered.round,
         recovered.replayed,
         if recovered.tail_truncated {
@@ -1047,15 +1106,13 @@ fn run_crash_recover(cfg: &LoadConfig) {
         }
     );
 
-    // Independent audit: rebuild from the base checkpoint and the raw log,
-    // through BOTH reconstruction paths, and compare byte-for-byte.
-    let ckpt = wal::load_checkpoint(&wal::checkpoint_file(&dir, 0)).expect("base checkpoint");
+    let ckpt = wal::load_checkpoint(&wal::checkpoint_file(dir, 0)).expect("base checkpoint");
     let mut replay = Engine::from_graph(
         &Graph::from_edges(ckpt.num_vertices, &ckpt.edges),
         ckpt.seed,
     );
     let mut replica = ckpt.replica;
-    let (records, _torn) = wal::read_log_records(&dir, 0).expect("read raw log");
+    let (records, _torn) = wal::read_log_records(dir, 0).expect("read raw log");
     let mut last = 0u64;
     for rec in records.iter().take_while(|r| r.round <= recovered.round) {
         replay.apply_batch(&EdgeBatch {
@@ -1081,38 +1138,7 @@ fn run_crash_recover(cfg: &LoadConfig) {
         "delta-folded replica diverges from the batch-replayed engine"
     );
     eprintln!("   audit: full-history replay (batches AND deltas) byte-identical at round {last}");
-
-    // Restart a real server from the directory. The engine argument is a
-    // decoy: the directory is authoritative.
-    let handle = serve(
-        Engine::new(1, cfg.seed),
-        ServerConfig {
-            wal: Some(WalConfig::durable(dir.clone())),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("restart from the recovered directory");
-    assert_eq!(handle.committed_round(), recovered.round);
-    assert_eq!(
-        handle.snapshot().state,
-        audited,
-        "restarted server does not serve the recovered state"
-    );
-    let mut client = Client::connect(handle.addr()).expect("connect to restarted server");
-    let delta = client
-        .insert_edges(&[(1, 2)])
-        .expect("post-recovery insert");
-    assert_eq!(
-        delta.round,
-        recovered.round + 1,
-        "round ids must continue after recovery, not restart"
-    );
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    eprintln!(
-        "   crash-recovery audit passed: state byte-identical, rounds resumed at {}",
-        recovered.round + 1
-    );
+    recovered
 }
 
 /// What a round's snapshot publication costs at 500k vertices: the

@@ -210,7 +210,7 @@ impl Default for HarnessConfig {
 
 /// The default thread sweep: powers of two up to the machine's logical CPUs.
 pub fn default_thread_sweep() -> Vec<usize> {
-    let max = num_cpus::get().max(1);
+    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut t = 1;
     let mut out = Vec::new();
     while t < max {
@@ -275,7 +275,7 @@ impl HarnessConfig {
                     cfg.scale = Scale::Tiny;
                     cfg.reps = 1;
                     cfg.quick = true;
-                    let max = num_cpus::get().max(1);
+                    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
                     cfg.threads = if max > 1 { vec![1, max] } else { vec![1] };
                 }
                 "--compare" => cfg.compare = true,
@@ -422,7 +422,7 @@ pub fn merge_quick_entries(
         format!(
             "{{\n  \"schema\": 1,\n  \"seed\": {seed},\n  \"reps\": 1,\n  \"host_threads\": {},\n  \
              \"entries\": [\n{}\n  ]\n}}\n",
-            num_cpus::get(),
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
             rows.join(",\n")
         )
     };

@@ -9,7 +9,6 @@
 
 pub mod luby;
 pub mod prefix;
-pub mod prefix_packed;
 pub mod rootset;
 pub mod rounds;
 pub mod sequential;

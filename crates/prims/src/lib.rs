@@ -1,20 +1,24 @@
 //! # greedy-prims
 //!
-//! Parallel primitives used throughout the `greedy-parallel` workspace.
+//! The parallel primitives the `greedy-parallel` workspace runs.
 //!
 //! The SPAA 2012 paper ("Greedy Sequential Maximal Independent Set and Matching
 //! are Parallel on Average", Blelloch, Fineman, Shun) expresses its algorithms in
-//! the CRCW PRAM work–depth model, assuming standard primitives: prefix sums
-//! (scan), packing (filtering by flags), bucket/counting sorts, and random
-//! permutations. This crate provides shared-memory realizations of those
-//! primitives on top of [`rayon`], plus a few utilities (deterministic hashing,
-//! chunking helpers) used by the core algorithms and the benchmark harness.
+//! the CRCW PRAM work–depth model, assuming standard primitives. This crate
+//! holds the shared-memory realizations the workspace calls, on top of
+//! [`rayon`]:
 //!
-//! All primitives come in a sequential and a parallel flavor; the parallel
-//! flavors fall back to the sequential code below a grain size so that small
-//! inputs do not pay scheduling overhead. Every parallel primitive is
-//! deterministic: it returns exactly the same result as its sequential
-//! counterpart.
+//! * [`permutation`] — the random order π ([`permutation::par_random_permutation`]);
+//! * [`sort`] — the stable parallel radix sort behind π, CSR builds and
+//!   edge-list canonicalization;
+//! * [`pack`] — parallel pack and adjacent-duplicate removal;
+//! * [`scan`] — counts to offsets;
+//! * [`random`] — deterministic per-index hashing and the SplitMix64 stream;
+//! * [`util`] — block boundaries and the coarse-task fan-out.
+//!
+//! The parallel primitives fall back to sequential code below a grain size
+//! so that small inputs do not pay scheduling overhead, and every one is
+//! deterministic: it returns exactly the same result at every thread count.
 //!
 //! ## Quick example
 //!
@@ -33,18 +37,6 @@
 pub mod pack;
 pub mod permutation;
 pub mod random;
-pub mod reduce;
 pub mod scan;
 pub mod sort;
 pub mod util;
-
-/// Convenient re-exports of the most commonly used primitives.
-pub mod prelude {
-    pub use crate::pack::{pack, pack_index};
-    pub use crate::permutation::{random_permutation, Permutation};
-    pub use crate::random::SplitMix64;
-    pub use crate::reduce::{par_max, par_min, par_sum};
-    pub use crate::scan::{exclusive_scan, exclusive_scan_in_place, inclusive_scan};
-    pub use crate::sort::{counting_sort_by_key, sort_by_key_parallel};
-    pub use crate::util::DEFAULT_GRAIN;
-}

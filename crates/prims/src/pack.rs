@@ -1,11 +1,10 @@
 //! Packing (filtering) primitives.
 //!
-//! The prefix-based MIS implementation (Theorem 4.5 of the paper) repeatedly
-//! densely packs surviving prefix vertices into new arrays; root-set
-//! maintenance packs newly discovered roots. Packing a slice under a predicate
-//! is a scan over 0/1 flags followed by a scatter, which is what
-//! [`par_pack`] implements. Order is preserved and the output matches the
-//! sequential filter exactly.
+//! Packing a slice under 0/1 flags is a scan over per-block counts followed
+//! by a scatter, which is what [`par_pack`] implements. Its caller is
+//! [`par_dedup_adjacent`], which the CSR build and edge-list
+//! canonicalization run after their radix sorts. Order is preserved and the
+//! output matches the sequential [`pack`] exactly.
 
 use rayon::prelude::*;
 
@@ -29,20 +28,6 @@ pub fn pack<T: Copy>(input: &[T], flags: &[bool]) -> Vec<T> {
         .iter()
         .zip(flags.iter())
         .filter_map(|(&x, &keep)| keep.then_some(x))
-        .collect()
-}
-
-/// Sequential pack of the *indices* whose flag is `true`.
-///
-/// ```
-/// use greedy_prims::pack::pack_index;
-/// assert_eq!(pack_index(&[false, true, true, false, true]), vec![1, 2, 4]);
-/// ```
-pub fn pack_index(flags: &[bool]) -> Vec<usize> {
-    flags
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &keep)| keep.then_some(i))
         .collect()
 }
 
@@ -110,18 +95,6 @@ pub fn par_pack<T: Copy + Send + Sync>(input: &[T], flags: &[bool]) -> Vec<T> {
     out
 }
 
-/// Parallel pack of indices with `flags[i] == true`; identical output to
-/// [`pack_index`].
-pub fn par_pack_index(flags: &[bool]) -> Vec<usize> {
-    let n = flags.len();
-    if n < SEQUENTIAL_CUTOFF {
-        return pack_index(flags);
-    }
-    // Reuse par_pack over the index range.
-    let indices: Vec<usize> = (0..n).collect();
-    par_pack(&indices, flags)
-}
-
 /// Parallel adjacent-duplicate removal: identical output to [`Vec::dedup`],
 /// computed as a parallel keep-flag pass (`keep[i] = i == 0 || v[i] != v[i-1]`)
 /// followed by [`par_pack`].
@@ -145,40 +118,6 @@ pub fn par_dedup_adjacent<T: PartialEq + Copy + Send + Sync>(mut v: Vec<T>) -> V
         .map(|i| i == 0 || slice[i] != slice[i - 1])
         .collect();
     par_pack(&v, &flags)
-}
-
-/// Splits `input` into (elements with `flags[i] == true`, elements with
-/// `flags[i] == false`), both preserving order.
-///
-/// ```
-/// use greedy_prims::pack::split_by;
-/// let (yes, no) = split_by(&[1, 2, 3, 4], &[true, false, false, true]);
-/// assert_eq!(yes, vec![1, 4]);
-/// assert_eq!(no, vec![2, 3]);
-/// ```
-pub fn split_by<T: Copy>(input: &[T], flags: &[bool]) -> (Vec<T>, Vec<T>) {
-    assert_eq!(input.len(), flags.len(), "split_by: length mismatch");
-    let mut yes = Vec::new();
-    let mut no = Vec::new();
-    for (&x, &keep) in input.iter().zip(flags) {
-        if keep {
-            yes.push(x);
-        } else {
-            no.push(x);
-        }
-    }
-    (yes, no)
-}
-
-/// Parallel filter by predicate; preserves order and matches
-/// `input.iter().filter(...)` exactly.
-pub fn par_filter<T, F>(input: &[T], pred: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> bool + Send + Sync,
-{
-    let flags: Vec<bool> = input.par_iter().map(&pred).collect();
-    par_pack(input, &flags)
 }
 
 #[cfg(test)]
@@ -211,29 +150,6 @@ mod tests {
         let data: Vec<u64> = (0..10_000).collect();
         let flags = vec![false; data.len()];
         assert!(par_pack(&data, &flags).is_empty());
-    }
-
-    #[test]
-    fn par_pack_index_matches() {
-        let flags: Vec<bool> = (0..30_000).map(|i| i % 7 == 0).collect();
-        assert_eq!(par_pack_index(&flags), pack_index(&flags));
-    }
-
-    #[test]
-    fn split_by_partitions_everything() {
-        let data: Vec<u32> = (0..100).collect();
-        let flags: Vec<bool> = data.iter().map(|&x| x % 2 == 0).collect();
-        let (yes, no) = split_by(&data, &flags);
-        assert_eq!(yes.len() + no.len(), data.len());
-        assert!(yes.iter().all(|x| x % 2 == 0));
-        assert!(no.iter().all(|x| x % 2 == 1));
-    }
-
-    #[test]
-    fn par_filter_matches_std_filter() {
-        let data: Vec<u64> = (0..20_000).map(|i| i * 17 % 1000).collect();
-        let expected: Vec<u64> = data.iter().copied().filter(|&x| x < 500).collect();
-        assert_eq!(par_filter(&data, |&x| x < 500), expected);
     }
 
     #[test]
@@ -288,15 +204,6 @@ mod tests {
             let mut expected = sorted.clone();
             expected.dedup();
             prop_assert_eq!(par_dedup_adjacent(sorted), expected);
-        }
-
-        #[test]
-        fn prop_pack_index_count(flags in proptest::collection::vec(any::<bool>(), 0..4000)) {
-            let idx = pack_index(&flags);
-            prop_assert_eq!(idx.len(), flags.iter().filter(|&&b| b).count());
-            for i in idx {
-                prop_assert!(flags[i]);
-            }
         }
     }
 }

@@ -6,17 +6,13 @@
 //! priority), and `rank[v]` is the position of element `v`. The greedy
 //! algorithms only ever compare ranks, so `rank` is the array they index.
 //!
-//! Two constructions are provided:
-//! * [`random_permutation`] — sequential Fisher–Yates from a seeded ChaCha RNG.
-//! * [`par_random_permutation`] — parallel construction that sorts elements by
-//!   a per-index hash key (ties broken by index). For a fixed seed it is
-//!   deterministic and thread-count independent, and the resulting permutation
-//!   is (essentially) uniform: collisions in 64-bit keys are vanishingly rare
-//!   and resolved deterministically.
+//! One construction builds π: [`par_random_permutation`] sorts the elements
+//! by a per-index hash key (ties broken by index). For a fixed seed it is
+//! deterministic and thread-count independent, and the resulting permutation
+//! is (essentially) uniform: collisions in 64-bit keys are vanishingly rare
+//! and resolved deterministically. Every experiment, the engine and the
+//! benchmark build their orders with it.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::random::hash64;
@@ -116,14 +112,6 @@ impl Permutation {
     /// `k = ⌈δ·n⌉`.
     pub fn prefix(&self, k: usize) -> &[u32] {
         &self.order[..k.min(self.order.len())]
-    }
-
-    /// The inverse permutation (swaps the roles of order and rank).
-    pub fn inverse(&self) -> Self {
-        Self {
-            order: self.rank.clone(),
-            rank: self.order.clone(),
-        }
     }
 
     /// Verifies the internal bijection invariant; used by tests and
@@ -275,19 +263,6 @@ fn par_validated_inverse(values: &[u32]) -> Result<Vec<u32>, InverseError> {
     Ok(out)
 }
 
-/// Uniformly random permutation of `0..n` via Fisher–Yates with a
-/// ChaCha8 RNG seeded by `seed`.
-pub fn random_permutation(n: usize, seed: u64) -> Permutation {
-    assert!(
-        n <= u32::MAX as usize,
-        "random_permutation: n too large for u32 ids"
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.shuffle(&mut rng);
-    Permutation::from_order(order)
-}
-
 /// Deterministic parallel random permutation of `0..n`.
 ///
 /// Each element is keyed with `hash64(seed, element)` and the `(key, element)`
@@ -343,12 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_is_involution() {
-        let p = random_permutation(100, 5);
-        assert_eq!(p.inverse().inverse(), p);
-    }
-
-    #[test]
     #[should_panic(expected = "appears twice")]
     fn from_order_rejects_duplicates() {
         Permutation::from_order(vec![0, 0, 1]);
@@ -394,23 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn random_permutation_is_permutation() {
-        let p = random_permutation(1000, 42);
-        assert!(p.validate());
-        let mut seen = vec![false; 1000];
-        for pos in 0..1000 {
-            seen[p.element_at(pos) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn random_permutation_deterministic_in_seed() {
-        assert_eq!(random_permutation(500, 7), random_permutation(500, 7));
-        assert_ne!(random_permutation(500, 7), random_permutation(500, 8));
-    }
-
-    #[test]
     fn par_random_permutation_is_valid_and_deterministic() {
         let a = par_random_permutation(10_000, 3);
         let b = par_random_permutation(10_000, 3);
@@ -429,7 +381,7 @@ mod tests {
 
     #[test]
     fn prefix_returns_earliest_elements() {
-        let p = random_permutation(100, 1);
+        let p = par_random_permutation(100, 1);
         let pre = p.prefix(10);
         assert_eq!(pre.len(), 10);
         for (pos, &v) in pre.iter().enumerate() {
@@ -441,7 +393,7 @@ mod tests {
 
     #[test]
     fn precedes_is_consistent_with_ranks() {
-        let p = random_permutation(50, 2);
+        let p = par_random_permutation(50, 2);
         for a in 0..50u32 {
             for b in 0..50u32 {
                 assert_eq!(p.precedes(a, b), p.rank_of(a) < p.rank_of(b));
@@ -450,13 +402,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_random_permutation_valid(n in 0usize..2000, seed in any::<u64>()) {
-            let p = random_permutation(n, seed);
-            prop_assert!(p.validate());
-            prop_assert_eq!(p.len(), n);
-        }
-
         #[test]
         fn prop_par_permutation_valid(n in 0usize..5000, seed in any::<u64>()) {
             let p = par_random_permutation(n, seed);

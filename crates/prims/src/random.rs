@@ -1,7 +1,6 @@
 //! Small deterministic RNG utilities.
 //!
-//! Two needs in this workspace are served here rather than by the `rand`
-//! crate directly:
+//! Two needs in this workspace are served here, with no RNG crate:
 //!
 //! 1. **Per-index deterministic hashing.** Luby's Algorithm A re-randomizes
 //!    vertex priorities on every round. Doing that with a splittable counter
@@ -32,15 +31,6 @@ impl SplitMix64 {
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
         mix64(self.state)
-    }
-
-    /// Returns the next value reduced to `0..bound` (bound must be nonzero).
-    ///
-    /// Uses the widening-multiply reduction, which is unbiased enough for the
-    /// simulation workloads here (bias < 2^-32 for bounds < 2^32).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "next_below: bound must be positive");
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
     /// Returns a uniform f64 in [0, 1).
@@ -75,12 +65,6 @@ pub fn hash64(seed: u64, index: u64) -> u64 {
     )
 }
 
-/// Stateless hash reduced to `0..bound` (bound must be nonzero).
-pub fn hash_below(seed: u64, index: u64, bound: u64) -> u64 {
-    assert!(bound > 0, "hash_below: bound must be positive");
-    ((hash64(seed, index) as u128 * bound as u128) >> 64) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,26 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn next_below_in_range() {
-        let mut rng = SplitMix64::new(7);
-        for bound in [1u64, 2, 10, 1000, u32::MAX as u64] {
-            for _ in 0..200 {
-                assert!(rng.next_below(bound) < bound);
-            }
-        }
-    }
-
-    #[test]
-    fn next_below_covers_small_range() {
-        let mut rng = SplitMix64::new(11);
-        let mut seen = [false; 4];
-        for _ in 0..1000 {
-            seen[rng.next_below(4) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all residues should appear");
-    }
-
-    #[test]
     fn next_f64_in_unit_interval() {
         let mut rng = SplitMix64::new(3);
         for _ in 0..1000 {
@@ -136,20 +100,5 @@ mod tests {
         // Crude sanity check: the low bit of the hash should be roughly balanced.
         let ones = (0..10_000).filter(|&i| hash64(99, i) & 1 == 1).count();
         assert!((4_000..6_000).contains(&ones), "ones = {ones}");
-    }
-
-    #[test]
-    fn hash_below_in_range_and_deterministic() {
-        for i in 0..1000u64 {
-            let x = hash_below(5, i, 17);
-            assert!(x < 17);
-            assert_eq!(x, hash_below(5, i, 17));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bound must be positive")]
-    fn next_below_zero_panics() {
-        SplitMix64::new(0).next_below(0);
     }
 }

@@ -1,19 +1,14 @@
-//! Prefix sums (scans), sequential and parallel.
+//! Prefix sums (scans).
 //!
-//! Scans are the workhorse of the paper's linear-work implementations: packing
-//! a prefix's surviving vertices into dense arrays (Theorem 4.5) and building
-//! CSR offsets from per-vertex degree counts both reduce to an exclusive scan.
-//!
-//! The parallel scan is the standard two-pass blocked algorithm: partial sums
-//! per block, a sequential scan over the (few) block totals, then a parallel
-//! pass that re-scans each block seeded with its offset. It is deterministic
-//! and returns exactly the same output as the sequential scan.
-
-use crate::util::{blocks, default_num_blocks, par_map_blocks, SEQUENTIAL_CUTOFF};
+//! An exclusive scan turns per-bucket counts into offsets. The engine's arena
+//! takes its segment offsets from [`counts_to_offsets`], and
+//! [`crate::pack::par_pack`] and the counting sort scan their counts with
+//! [`exclusive_scan_in_place`]. Those count vectors hold one entry per block
+//! or per key, so the scans themselves run sequentially.
 
 /// A commutative-enough monoid for scanning. Only associativity and an
-/// identity are required; all instances used in this workspace (integer
-/// addition, max) are also commutative.
+/// identity are required; the instances here, integer addition, are also
+/// commutative.
 pub trait ScanMonoid: Copy + Send + Sync {
     /// The identity element (`combine(identity(), x) == x`).
     fn identity() -> Self;
@@ -48,53 +43,6 @@ impl ScanMonoid for usize {
     }
 }
 
-impl ScanMonoid for i64 {
-    fn identity() -> Self {
-        0
-    }
-    fn combine(self, other: Self) -> Self {
-        self + other
-    }
-}
-
-/// Sequential exclusive scan returning a fresh vector plus the total.
-///
-/// `out[i] = in[0] ⊕ … ⊕ in[i-1]`, `out[0] = identity`.
-///
-/// ```
-/// use greedy_prims::scan::exclusive_scan;
-/// let (out, total) = exclusive_scan(&[1u64, 2, 3, 4]);
-/// assert_eq!(out, vec![0, 1, 3, 6]);
-/// assert_eq!(total, 10);
-/// ```
-pub fn exclusive_scan<T: ScanMonoid>(input: &[T]) -> (Vec<T>, T) {
-    let mut out = Vec::with_capacity(input.len());
-    let mut acc = T::identity();
-    for &x in input {
-        out.push(acc);
-        acc = acc.combine(x);
-    }
-    (out, acc)
-}
-
-/// Sequential inclusive scan returning a fresh vector.
-///
-/// `out[i] = in[0] ⊕ … ⊕ in[i]`.
-///
-/// ```
-/// use greedy_prims::scan::inclusive_scan;
-/// assert_eq!(inclusive_scan(&[1u64, 2, 3]), vec![1, 3, 6]);
-/// ```
-pub fn inclusive_scan<T: ScanMonoid>(input: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(input.len());
-    let mut acc = T::identity();
-    for &x in input {
-        acc = acc.combine(x);
-        out.push(acc);
-    }
-    out
-}
-
 /// In-place sequential exclusive scan; returns the total.
 ///
 /// ```
@@ -111,66 +59,6 @@ pub fn exclusive_scan_in_place<T: ScanMonoid>(data: &mut [T]) -> T {
         acc = next;
     }
     acc
-}
-
-/// Parallel in-place exclusive scan; returns the total.
-///
-/// Uses the two-pass blocked algorithm. Falls back to the sequential scan for
-/// short inputs. Deterministic: identical output to
-/// [`exclusive_scan_in_place`].
-pub fn par_exclusive_scan_in_place<T: ScanMonoid>(data: &mut [T]) -> T {
-    let n = data.len();
-    if n < SEQUENTIAL_CUTOFF {
-        return exclusive_scan_in_place(data);
-    }
-    let ranges = blocks(n, SEQUENTIAL_CUTOFF / 2, default_num_blocks());
-
-    // Pass 1: per-block totals. The block list is a short vector of *coarse*
-    // tasks, which the rayon shim's `par_iter` would not split (its grain is
-    // tuned for per-element work), so fan out with the join-based
-    // `par_map_blocks` instead.
-    let immutable: &[T] = data;
-    let mut block_totals: Vec<T> = par_map_blocks(ranges.clone(), &|r: std::ops::Range<usize>| {
-        let mut acc = T::identity();
-        for &x in &immutable[r] {
-            acc = acc.combine(x);
-        }
-        acc
-    });
-
-    // Pass 2: scan the block totals sequentially (few of them).
-    let grand_total = exclusive_scan_in_place(&mut block_totals);
-
-    // Pass 3: re-scan each block seeded with its offset, in parallel over
-    // disjoint sub-slices (same coarse-task fan-out as pass 1).
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest = data;
-        let mut consumed = 0usize;
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.end - consumed);
-            slices.push(head);
-            rest = tail;
-            consumed = r.end;
-        }
-    }
-    let tasks: Vec<(&mut [T], T)> = slices.into_iter().zip(block_totals).collect();
-    par_map_blocks(tasks, &|(chunk, offset): (&mut [T], T)| {
-        let mut acc = offset;
-        for x in chunk.iter_mut() {
-            let next = acc.combine(*x);
-            *x = acc;
-            acc = next;
-        }
-    });
-    grand_total
-}
-
-/// Parallel exclusive scan into a fresh vector; returns `(scanned, total)`.
-pub fn par_exclusive_scan<T: ScanMonoid>(input: &[T]) -> (Vec<T>, T) {
-    let mut out = input.to_vec();
-    let total = par_exclusive_scan_in_place(&mut out);
-    (out, total)
 }
 
 /// Scan-based conversion of per-bucket counts into CSR-style offsets.
@@ -200,46 +88,16 @@ mod tests {
 
     #[test]
     fn exclusive_scan_empty() {
-        let (out, total) = exclusive_scan::<u64>(&[]);
-        assert!(out.is_empty());
-        assert_eq!(total, 0);
+        let mut data: Vec<u64> = Vec::new();
+        assert_eq!(exclusive_scan_in_place(&mut data), 0);
+        assert!(data.is_empty());
     }
 
     #[test]
     fn exclusive_scan_single() {
-        let (out, total) = exclusive_scan(&[7u64]);
-        assert_eq!(out, vec![0]);
-        assert_eq!(total, 7);
-    }
-
-    #[test]
-    fn inclusive_matches_exclusive_shifted() {
-        let input: Vec<u64> = (1..=100).collect();
-        let inc = inclusive_scan(&input);
-        let (exc, total) = exclusive_scan(&input);
-        for i in 0..input.len() {
-            assert_eq!(inc[i], exc[i] + input[i]);
-        }
-        assert_eq!(*inc.last().unwrap(), total);
-    }
-
-    #[test]
-    fn par_scan_matches_sequential_large() {
-        let input: Vec<u64> = (0..100_000).map(|i| (i * 31 + 7) % 97).collect();
-        let (seq, seq_total) = exclusive_scan(&input);
-        let mut par = input.clone();
-        let par_total = par_exclusive_scan_in_place(&mut par);
-        assert_eq!(seq, par);
-        assert_eq!(seq_total, par_total);
-    }
-
-    #[test]
-    fn par_scan_matches_sequential_small() {
-        let input: Vec<u64> = vec![5, 1, 2];
-        let (seq, seq_total) = exclusive_scan(&input);
-        let (par, par_total) = par_exclusive_scan(&input);
-        assert_eq!(seq, par);
-        assert_eq!(seq_total, par_total);
+        let mut data = vec![7u64];
+        assert_eq!(exclusive_scan_in_place(&mut data), 7);
+        assert_eq!(data, vec![0]);
     }
 
     #[test]
@@ -255,26 +113,19 @@ mod tests {
 
     #[test]
     fn works_for_usize_and_u32() {
-        let (a, ta) = exclusive_scan(&[1usize, 2, 3]);
+        let mut a = vec![1usize, 2, 3];
+        assert_eq!(exclusive_scan_in_place(&mut a), 6);
         assert_eq!(a, vec![0, 1, 3]);
-        assert_eq!(ta, 6);
-        let (b, tb) = exclusive_scan(&[1u32, 2, 3]);
+        let mut b = vec![1u32, 2, 3];
+        assert_eq!(exclusive_scan_in_place(&mut b), 6);
         assert_eq!(b, vec![0, 1, 3]);
-        assert_eq!(tb, 6);
     }
 
     proptest! {
         #[test]
-        fn prop_par_scan_equals_seq(input in proptest::collection::vec(0u64..1000, 0..5000)) {
-            let (seq, st) = exclusive_scan(&input);
-            let (par, pt) = par_exclusive_scan(&input);
-            prop_assert_eq!(seq, par);
-            prop_assert_eq!(st, pt);
-        }
-
-        #[test]
         fn prop_scan_total_is_sum(input in proptest::collection::vec(0u64..1000, 0..2000)) {
-            let (_, total) = exclusive_scan(&input);
+            let mut scanned = input.clone();
+            let total = exclusive_scan_in_place(&mut scanned);
             prop_assert_eq!(total, input.iter().sum::<u64>());
         }
     }

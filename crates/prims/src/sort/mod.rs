@@ -1,19 +1,15 @@
-//! Sorting subsystem: parallel LSD radix sort, counting sort, bucket sort,
-//! and the stable parallel sort-by-key entry point.
+//! Sorting subsystem: the stable parallel sort-by-key entry point, its
+//! parallel LSD radix sort, and a counting sort.
 //!
-//! The maximal-matching implementation keeps each vertex's incidence list
-//! sorted by edge priority (Section 5 of the paper: "we maintain for each
-//! vertex an array of its incident edges sorted by priority"); since the
-//! priorities are a random permutation of `0..m`, a counting/bucket sort does
-//! this in linear work, which is what Lemma 5.3 requires. Graph construction
-//! (edge list → CSR) bucket-sorts arcs by source vertex, and the random
-//! priority permutation itself is a sort of `(hash, element)` pairs.
-//!
-//! All of those hot paths funnel through [`sort_by_key_parallel`], which
-//! dispatches to the parallel LSD radix sort in [`radix`] — linear work per
-//! digit pass, stable, and thread-count independent. The small-universe
-//! helpers ([`counting_sort_by_key`], [`bucket_by_key`]) remain for callers
-//! that already know their key range.
+//! The root-set matching keeps each vertex's incidence list sorted by edge
+//! priority, which Lemma 5.3 needs in linear work; graph construction (edge
+//! list → CSR) and the engine's arena build sort arcs by source vertex; and
+//! the random priority permutation itself is a sort of `(hash, element)`
+//! pairs. All of those hot paths funnel through [`sort_by_key_parallel`],
+//! which dispatches to the parallel LSD radix sort in [`radix`] — linear
+//! work per digit pass, stable, and thread-count independent.
+//! [`counting_sort_by_key`] and [`is_sorted_by_key`] are the sequential
+//! references the sort tests check it against.
 
 use crate::scan::exclusive_scan_in_place;
 
@@ -81,51 +77,6 @@ where
     out
 }
 
-/// Groups `items` into `num_buckets` buckets by `key`, preserving input order
-/// inside each bucket (stable). Returns `(bucketed_items, offsets)` where
-/// bucket `b` occupies `bucketed_items[offsets[b]..offsets[b+1]]`.
-///
-/// # Panics
-/// Panics if any `key(item) >= num_buckets` (same contract as
-/// [`counting_sort_by_key`]).
-///
-/// ```
-/// use greedy_prims::sort::bucket_by_key;
-/// let (items, offsets) = bucket_by_key(&[5u32, 11, 7, 12], 2, |&x| if x < 10 { 0 } else { 1 });
-/// assert_eq!(items, vec![5, 7, 11, 12]);
-/// assert_eq!(offsets, vec![0, 2, 4]);
-/// ```
-pub fn bucket_by_key<T, F>(items: &[T], num_buckets: usize, key: F) -> (Vec<T>, Vec<usize>)
-where
-    T: Copy,
-    F: Fn(&T) -> u32,
-{
-    let mut counts = vec![0usize; num_buckets + 1];
-    for item in items {
-        let k = key(item) as usize;
-        assert!(
-            k < num_buckets,
-            "bucket_by_key: key {k} >= num_buckets {num_buckets}"
-        );
-        counts[k + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut out: Vec<T> = Vec::with_capacity(items.len());
-    if !items.is_empty() {
-        out.resize(items.len(), items[0]);
-        for item in items {
-            let k = key(item) as usize;
-            out[cursor[k]] = *item;
-            cursor[k] += 1;
-        }
-    }
-    (out, offsets)
-}
-
 /// Checks whether `items` is sorted according to `key` (non-decreasing).
 pub fn is_sorted_by_key<T, K: Ord, F: Fn(&T) -> K>(items: &[T], key: F) -> bool {
     items.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
@@ -168,33 +119,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket_by_key: key 9 >= num_buckets 4")]
-    fn bucket_by_key_rejects_out_of_range_key() {
-        bucket_by_key(&[1u32, 9], 4, |&x| x);
-    }
-
-    #[test]
-    fn bucket_by_key_offsets_consistent() {
-        let items: Vec<u32> = (0..1000).map(|i| (i * 7 % 50) as u32).collect();
-        let (bucketed, offsets) = bucket_by_key(&items, 50, |&x| x);
-        assert_eq!(offsets.len(), 51);
-        assert_eq!(offsets[0], 0);
-        assert_eq!(*offsets.last().unwrap(), items.len());
-        for b in 0..50u32 {
-            for &item in &bucketed[offsets[b as usize]..offsets[b as usize + 1]] {
-                assert_eq!(item % 50, b, "bucket contents keyed correctly");
-            }
-        }
-    }
-
-    #[test]
-    fn bucket_by_key_empty() {
-        let (items, offsets) = bucket_by_key::<u32, _>(&[], 4, |&x| x);
-        assert!(items.is_empty());
-        assert_eq!(offsets, vec![0, 0, 0, 0, 0]);
-    }
-
-    #[test]
     fn sort_by_key_parallel_matches_sequential() {
         let mut a: Vec<u64> = (0..60_000).map(|i| i * 2654435761 % 100_000).collect();
         let mut b = a.clone();
@@ -232,13 +156,6 @@ mod tests {
             a.sort();
             b.sort();
             prop_assert_eq!(a, b);
-        }
-
-        #[test]
-        fn prop_bucket_sizes_sum(items in proptest::collection::vec(0u32..32, 0..2000)) {
-            let (bucketed, offsets) = bucket_by_key(&items, 32, |&x| x);
-            prop_assert_eq!(bucketed.len(), items.len());
-            prop_assert_eq!(*offsets.last().unwrap(), items.len());
         }
 
         // Both sorts are stable, so on any in-range input they must agree

@@ -1,19 +1,10 @@
-//! Chunking and grain-size helpers shared by the parallel primitives.
+//! Chunking helpers shared by the parallel primitives.
 //!
-//! Rayon adapts its splitting automatically, but the blocked two-pass
-//! algorithms in this crate (scan, pack, counting sort) need explicit block
-//! boundaries so that per-block partial results can be combined
-//! deterministically. These helpers compute those boundaries.
-
-/// Default grain size: the smallest amount of work a parallel primitive hands
-/// to a single task.
-///
-/// The paper's implementation notes a loop grain size of 256 (Section 6); we
-/// use a slightly larger default because our per-element work is often a
-/// handful of instructions. Primitives accept an explicit grain where the
-/// caller wants to reproduce the paper's sequential-to-parallel "bump"
-/// (see the `ablation_grain_size` experiment).
-pub const DEFAULT_GRAIN: usize = 1024;
+//! Rayon adapts its splitting automatically, but the blocked algorithms in
+//! this crate (pack, radix sort, the permutation's inverse) and the engine's
+//! arena rebuild need explicit block boundaries so that per-block partial
+//! results can be combined deterministically. These helpers compute those
+//! boundaries and fan the blocks out.
 
 /// Below this input size parallel primitives run their sequential fallback
 /// outright, to avoid paying any scheduling overhead.
@@ -57,9 +48,10 @@ pub fn default_num_blocks() -> usize {
 /// Applies `f` to every coarse task in `tasks`, in parallel, returning the
 /// results in task order.
 ///
-/// This is the fork–join fan-out for *blocked* algorithms (scan, radix sort)
-/// that hand out a handful of tasks — typically a small multiple of the
-/// thread count — where each task is a large contiguous block of work.
+/// This is the fork–join fan-out for *blocked* algorithms (radix sort, the
+/// permutation's inverse, the arena rebuild) that hand out a handful of
+/// tasks — typically a small multiple of the thread count — where each task
+/// is a large contiguous block of work.
 /// `par_iter` over such a short task list does not split (its grain size is
 /// tuned for per-element work), so this helper recurses with [`rayon::join`]
 /// instead. Forking stops once the current thread budget
@@ -95,35 +87,6 @@ where
     a
 }
 
-/// Rounds `x` up to the next power of two (saturating at `usize::MAX/2 + 1`).
-///
-/// ```
-/// use greedy_prims::util::next_power_of_two;
-/// assert_eq!(next_power_of_two(0), 1);
-/// assert_eq!(next_power_of_two(5), 8);
-/// assert_eq!(next_power_of_two(8), 8);
-/// ```
-pub fn next_power_of_two(x: usize) -> usize {
-    x.max(1).next_power_of_two()
-}
-
-/// Integer ceiling of log2, with `ceil_log2(0) == 0` and `ceil_log2(1) == 0`.
-///
-/// ```
-/// use greedy_prims::util::ceil_log2;
-/// assert_eq!(ceil_log2(1), 0);
-/// assert_eq!(ceil_log2(2), 1);
-/// assert_eq!(ceil_log2(3), 2);
-/// assert_eq!(ceil_log2(1024), 10);
-/// ```
-pub fn ceil_log2(x: usize) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        usize::BITS - (x - 1).leading_zeros()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,22 +116,6 @@ mod tests {
     fn blocks_single_when_small() {
         let bs = blocks(10, 100, 8);
         assert_eq!(bs, vec![0..10]);
-    }
-
-    #[test]
-    fn ceil_log2_matches_naive() {
-        for x in 1usize..1000 {
-            let naive = (x as f64).log2().ceil() as u32;
-            assert_eq!(ceil_log2(x), naive, "x={x}");
-        }
-    }
-
-    #[test]
-    fn next_power_of_two_basics() {
-        assert_eq!(next_power_of_two(0), 1);
-        assert_eq!(next_power_of_two(1), 1);
-        assert_eq!(next_power_of_two(3), 4);
-        assert_eq!(next_power_of_two(1025), 2048);
     }
 
     #[test]

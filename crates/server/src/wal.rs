@@ -38,8 +38,11 @@
 //! then replays every logged round after it: each record's batch goes
 //! through [`Engine::apply_batch`] while its delta is folded into a
 //! [`ReplicaState`], and the two reconstructions must land byte-identical.
-//! A torn final record (crash mid-write) or a corrupt CRC truncates the log
-//! at the last valid record — recovery never panics on a damaged tail.
+//! A torn final record (crash mid-write), a corrupt CRC or a round gap ends
+//! the replay at the last valid record — recovery never panics on a damaged
+//! tail. [`recover`] only reads; before its first append, [`Wal::reopen`]
+//! cuts the damaged bytes and every later segment away, so the rounds a
+//! restarted server logs are not stranded behind the damage.
 //!
 //! ## Durability policy
 //!
@@ -505,6 +508,14 @@ pub fn load_checkpoint(path: &Path) -> io::Result<Checkpoint> {
 struct Segment {
     file: File,
     records: u64,
+    /// Whether the directory entry naming this segment has been fsynced.
+    dir_synced: bool,
+}
+
+/// Fsyncs the directory `dir`, making the creation, rename or removal of its
+/// entries durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// The append side of the log, driven by the engine thread (one writer, no
@@ -548,10 +559,13 @@ impl Wal {
         Ok(wal)
     }
 
-    /// Reopens the log of a just-recovered directory: appends continue at
-    /// `recovered.round + 1` in a fresh segment (never into a possibly
-    /// torn tail).
+    /// Reopens the log of a just-recovered directory. A damaged log is first
+    /// cut back to what recovery read; appends then continue at
+    /// `recovered.round + 1` in a fresh segment.
     pub fn reopen(cfg: WalConfig, recovered: &Recovered) -> io::Result<Self> {
+        if let Some(end) = recovered.log_end {
+            cut_log(&cfg.dir, end, recovered.round)?;
+        }
         let wal = Self {
             cfg,
             seg: None,
@@ -607,13 +621,17 @@ impl Wal {
         }
         if self.seg.is_none() {
             // New segments truncate: the only way the file can already exist
-            // is a recovered torn tail, whose bytes must not survive.
+            // is a segment that `reopen` cut back to nothing.
             let file = OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(true)
                 .open(segment_path(&self.cfg.dir, round))?;
-            self.seg = Some(Segment { file, records: 0 });
+            self.seg = Some(Segment {
+                file,
+                records: 0,
+                dir_synced: false,
+            });
         }
         let mut framed = Vec::new();
         frame_record(
@@ -637,13 +655,19 @@ impl Wal {
         Ok(())
     }
 
-    /// Fsyncs the open segment and advances the durable counter. A sync
+    /// Fsyncs the open segment and advances the durable counter. The first
+    /// sync of a segment also fsyncs the directory, so the durable round
+    /// never points into a segment whose name a power cut could lose. A sync
     /// slower than `FSYNC_STALL_US` (50 ms) is journalled — the one commit-path
     /// stall a healthy server should never show.
     pub fn sync(&mut self) -> io::Result<()> {
-        if let Some(seg) = &self.seg {
+        if let Some(seg) = &mut self.seg {
             let t0 = Instant::now();
             seg.file.sync_data()?;
+            if !seg.dir_synced {
+                sync_dir(&self.cfg.dir)?;
+                seg.dir_synced = true;
+            }
             if let Some(j) = &self.journal {
                 let micros = t0.elapsed().as_micros() as u64;
                 if micros >= FSYNC_STALL_US {
@@ -696,9 +720,7 @@ impl Wal {
         let final_path = checkpoint_path(&self.cfg.dir, round);
         fs::rename(&tmp, &final_path)?;
         // Make the rename itself durable.
-        if let Ok(d) = File::open(&self.cfg.dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(&self.cfg.dir)?;
         self.last_checkpoint = round;
         // State through `round` is now durable via the checkpoint even if
         // round records were never synced.
@@ -754,59 +776,114 @@ pub struct Recovered {
     /// Log records replayed on top of the checkpoint.
     pub replayed: u64,
     /// True when a torn or corrupt record cut the replay short — the log's
-    /// valid prefix was recovered and the damaged tail discarded.
+    /// valid prefix was recovered, and [`Wal::reopen`] cuts the rest away.
     pub tail_truncated: bool,
+    /// Where the readable log ends when damage cut the replay short: the
+    /// cut [`Wal::reopen`] makes before its first append.
+    log_end: Option<LogEnd>,
+}
+
+/// Where a damaged log's readable prefix ends. Reading stopped in the
+/// segment whose first round is `segment`; its bytes from `offset` on, and
+/// every later segment, are unreachable by any reader.
+#[derive(Clone, Copy)]
+struct LogEnd {
+    segment: u64,
+    /// Offset just past the segment's last good record (0 if it has none).
+    offset: u64,
+    /// The round the log would continue with: one past the last good record
+    /// read, or the segment's first round when reading found none.
+    next_round: u64,
+}
+
+/// Cuts the log back to `end`: truncates the segment reading stopped in and
+/// removes every later one, then fsyncs the file and the directory. Without
+/// the cut, rounds appended after a restart would sit behind the damage,
+/// where the next recovery never reaches them. Refuses when the cut would
+/// remove a record at or before `round`, the recovered round.
+fn cut_log(dir: &Path, end: LogEnd, round: u64) -> io::Result<()> {
+    let later: Vec<u64> = list_segments(dir)?
+        .into_iter()
+        .filter(|&first| first > end.segment)
+        .collect();
+    if end.next_round <= round || later.first().is_some_and(|&first| first <= round) {
+        return Err(malformed(format!(
+            "log damaged at round {} of segment {}, not after the recovered round {round}; \
+             refusing to cut it",
+            end.next_round, end.segment
+        )));
+    }
+    let file = OpenOptions::new()
+        .write(true)
+        .open(segment_path(dir, end.segment))?;
+    file.set_len(end.offset)?;
+    file.sync_all()?;
+    for first in later {
+        fs::remove_file(segment_path(dir, first))?;
+    }
+    sync_dir(dir)
 }
 
 /// Reads every round record after `after` from the segments in `dir`, in
 /// round order, stopping (without error) at the first torn or corrupt
-/// record or round gap. Returns the records and whether the log was
-/// damaged. Public so audits (and `serve_load --crash-recover`) can replay
-/// the raw log independently of [`recover`].
+/// record or round gap; the first record past `after` must be `after + 1`.
+/// Returns the records and whether the log was damaged. Public so audits
+/// (and `serve_load --crash-recover`) can replay the raw log independently
+/// of [`recover`].
 pub fn read_log_records(dir: &Path, after: u64) -> io::Result<(Vec<WalRecord>, bool)> {
+    let (records, end) = read_log(dir, after)?;
+    Ok((records, end.is_some()))
+}
+
+/// [`read_log_records`], reporting where a damaged log's readable prefix
+/// ends instead of only whether it is damaged.
+fn read_log(dir: &Path, after: u64) -> io::Result<(Vec<WalRecord>, Option<LogEnd>)> {
     let mut records = Vec::new();
-    let mut damaged = false;
-    let mut next_expected: Option<u64> = None;
-    'segments: for first in list_segments(dir)? {
+    let mut last_round: Option<u64> = None;
+    for first in list_segments(dir)? {
         let data = fs::read(segment_path(dir, first))?;
         let mut pos = 0usize;
         loop {
-            let (payload, next) = match read_record(&data, pos) {
-                RecordRead::Ok(p, n) => (p, n),
+            let read = match read_record(&data, pos) {
+                RecordRead::Ok(payload, next) => {
+                    decode_round_record(payload).ok().map(|r| (r, next))
+                }
                 RecordRead::Eof => break,
-                RecordRead::Damaged(_) => {
-                    damaged = true;
-                    break 'segments;
-                }
+                RecordRead::Damaged(_) => None,
             };
-            pos = next;
-            let record = match decode_round_record(payload) {
-                Ok(r) => r,
-                Err(_) => {
-                    damaged = true;
-                    break 'segments;
-                }
+            // Rounds are contiguous, and the first one past `after` continues
+            // it; a gap (or regression) means the rest is not replayable.
+            let in_order = |round: u64| match last_round {
+                Some(last) => round == last + 1,
+                None => round <= after + 1,
             };
-            if let Some(expected) = next_expected {
-                if record.round != expected {
-                    // A gap (or regression) means the tail is not replayable.
-                    damaged = true;
-                    break 'segments;
+            match read {
+                Some((record, next)) if in_order(record.round) => {
+                    pos = next;
+                    last_round = Some(record.round);
+                    if record.round > after {
+                        records.push(record);
+                    }
                 }
-            }
-            next_expected = Some(record.round + 1);
-            if record.round > after {
-                records.push(record);
+                _ => {
+                    let end = LogEnd {
+                        segment: first,
+                        offset: pos as u64,
+                        next_round: last_round.map_or(first, |last| last + 1),
+                    };
+                    return Ok((records, Some(end)));
+                }
             }
         }
     }
-    Ok((records, damaged))
+    Ok((records, None))
 }
 
 /// Rebuilds a server's engine from the data directory: newest valid
 /// checkpoint, then log replay, with the recovered state verified
 /// byte-identical to the delta-folded replica at the last logged round.
 /// `Ok(None)` means the directory holds no log at all (fresh start).
+/// Recovery only reads, so audits may call it on any directory.
 pub fn recover(dir: &Path) -> io::Result<Option<Recovered>> {
     if !dir.exists() {
         return Ok(None);
@@ -853,17 +930,13 @@ pub fn recover(dir: &Path) -> io::Result<Option<Recovered>> {
         )));
     }
 
-    let (records, tail_truncated) = read_log_records(dir, checkpoint.round)?;
+    // `read_log` returns exactly the contiguous rounds after the checkpoint.
+    let (records, log_end) = read_log(dir, checkpoint.round)?;
     let mut replica = checkpoint.replica;
     let mut replayed = 0u64;
     let mut round = checkpoint.round;
     for record in &records {
-        if record.round != round + 1 {
-            // First record after the checkpoint is missing: nothing past the
-            // checkpoint is replayable (read_log_records already guarantees
-            // contiguity within what it returned).
-            break;
-        }
+        debug_assert_eq!(record.round, round + 1);
         engine.apply_batch(&EdgeBatch {
             insertions: record.insertions.clone(),
             deletions: record.deletions.clone(),
@@ -890,7 +963,8 @@ pub fn recover(dir: &Path) -> io::Result<Option<Recovered>> {
         round,
         checkpoint_round: checkpoint.round,
         replayed,
-        tail_truncated,
+        tail_truncated: log_end.is_some(),
+        log_end,
     }))
 }
 

@@ -4,12 +4,14 @@
 //! prefix of committed rounds, `wal::recover` rebuilds state byte-identical
 //! to a from-scratch engine that applied the same prefix — and a damaged
 //! log tail (torn final record, bit-flipped CRC) truncates the replay at
-//! the last valid record instead of panicking or diverging.
+//! the last valid record instead of panicking or diverging. A server
+//! restarted from a damaged log must cut the damage away, so the rounds it
+//! logs after the restart survive the next crash.
 
 mod common;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use greedy_engine::prelude::{EdgeBatch, Engine};
 use greedy_prims::random::hash64;
@@ -81,6 +83,20 @@ fn run_and_crash(cfg: &WalConfig, n: usize, seed: u64, stream: u64, rounds: u64)
     engine
 }
 
+/// Flips one payload byte of the record that follows the first `skip`
+/// records of the segment starting at round `first`.
+fn corrupt_record(dir: &Path, first: u64, skip: usize) {
+    let path = wal::segment_file(dir, first);
+    let mut bytes = fs::read(&path).expect("read segment");
+    let mut pos = 0usize;
+    for _ in 0..skip {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 8 + len;
+    }
+    bytes[pos + 8 + 2] ^= 0x10;
+    fs::write(&path, &bytes).expect("write corrupted segment");
+}
+
 /// The from-scratch referee: a fresh engine that applies the same prefix.
 fn replay_prefix(n: usize, seed: u64, stream: u64, rounds: u64) -> Engine {
     let mut engine = Engine::new(n, seed);
@@ -149,18 +165,10 @@ fn bit_flipped_record_truncates_the_log_there() {
         ..quick_wal(dir.clone())
     };
     run_and_crash(&cfg, 200, 5, 78, 6);
+    // Flip a payload byte of the 4th record (round 4): rounds 1..=3 stay
+    // valid, 4..=6 must be discarded.
     let seg = wal::list_segments(&dir).expect("list")[0];
-    let path = dir.join(format!("wal-{seg:020}.log"));
-    let mut bytes = fs::read(&path).expect("read segment");
-    // Walk the record framing to the 4th record (round 4) and flip one
-    // payload byte; rounds 1..=3 stay valid, 4..=6 must be discarded.
-    let mut pos = 0usize;
-    for _ in 0..3 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-    }
-    bytes[pos + 8 + 2] ^= 0x10;
-    fs::write(&path, &bytes).expect("write corrupted segment");
+    corrupt_record(&dir, seg, 3);
     let recovered = wal::recover(&dir).expect("recover").expect("log exists");
     assert_eq!(recovered.round, 3, "replay must stop before the bad CRC");
     assert!(recovered.tail_truncated);
@@ -169,6 +177,87 @@ fn bit_flipped_record_truncates_the_log_there() {
         recovered.engine.server_snapshot(),
         referee.server_snapshot()
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Logs six rounds in segments of rounds 1..=4 and 5..=6, crashes, and
+/// applies `damage`, after which recovery reaches round `recovered`. A
+/// server restarted from the directory then logs rounds up to 9 and crashes
+/// again: the second recovery must reach round 9 and equal a from-scratch
+/// replay, with the damage cut away and `segments` left on disk.
+fn restart_after_damage(
+    name: &str,
+    stream: u64,
+    damage: impl Fn(&Path),
+    recovered: u64,
+    segments: &[u64],
+) {
+    let dir = scratch(name);
+    let cfg = quick_wal(dir.clone());
+    run_and_crash(&cfg, 200, 5, stream, 6);
+    damage(&dir);
+    let first = wal::recover(&dir).expect("recover").expect("log exists");
+    assert_eq!((first.round, first.tail_truncated), (recovered, true));
+
+    let mut wal = Wal::reopen(cfg, &first).expect("wal reopen");
+    let mut engine = first.engine;
+    for r in recovered + 1..=9 {
+        let batch = round_batch(200, stream, r);
+        let delta = FullDelta::from_report(r, &engine.apply_batch(&batch));
+        wal.append_round(r, &batch.insertions, &batch.deletions, &delta)
+            .expect("wal append");
+    }
+    drop(wal);
+    let second = wal::recover(&dir).expect("recover").expect("log exists");
+    assert_eq!(second.round, 9, "rounds logged after the restart were lost");
+    assert!(!second.tail_truncated, "the damage must be cut away");
+    assert_eq!(
+        second.engine.server_snapshot(),
+        replay_prefix(200, 5, stream, 9).server_snapshot()
+    );
+    assert_eq!(wal::list_segments(&dir).expect("list"), segments);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rounds_logged_after_recovering_a_torn_tail_survive_the_next_crash() {
+    // Round 6 is torn.
+    let tear = |dir: &Path| wal::tear_log_tail(dir, 5).expect("tear");
+    restart_after_damage("torn_restart", 79, tear, 5, &[1, 5, 6]);
+}
+
+#[test]
+fn rounds_logged_after_recovering_a_corrupt_record_survive_the_next_crash() {
+    // Round 3 is corrupt: rounds 3..=6 are unreadable, and the segment that
+    // starts at round 5 is stale.
+    let flip = |dir: &Path| corrupt_record(dir, 1, 2);
+    restart_after_damage("bitflip_restart", 80, flip, 2, &[1, 3, 7]);
+}
+
+#[test]
+fn reopen_refuses_to_cut_records_a_checkpoint_covers() {
+    let dir = scratch("covered_damage");
+    let cfg = WalConfig {
+        checkpoint_every: 5,
+        retain_all: true,
+        ..quick_wal(dir.clone())
+    };
+    // Round 3 is corrupt, but recovery reaches round 5 from the round-5
+    // checkpoint: cutting the log at round 3 would remove rounds 3..=5.
+    run_and_crash(&cfg, 200, 5, 81, 6);
+    corrupt_record(&dir, 1, 2);
+    let recovered = wal::recover(&dir).expect("recover").expect("log exists");
+    assert_eq!((recovered.round, recovered.tail_truncated), (5, true));
+    let log = || {
+        let segments = wal::list_segments(&dir).expect("list");
+        segments
+            .into_iter()
+            .map(|s| fs::read(wal::segment_file(&dir, s)).expect("read"))
+            .collect::<Vec<_>>()
+    };
+    let before = log();
+    assert!(Wal::reopen(cfg, &recovered).is_err());
+    assert_eq!(log(), before, "a refused cut must leave the log untouched");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -111,13 +111,6 @@ pub fn any<T>() -> Any<T> {
     Any(PhantomData)
 }
 
-impl Strategy for Any<bool> {
-    type Value = bool;
-    fn generate(&self, rng: &mut TestRng) -> bool {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl Strategy for Any<u32> {
     type Value = u32;
     fn generate(&self, rng: &mut TestRng) -> u32 {

@@ -5,11 +5,11 @@
 //! This one reimplements the rayon surface the algorithms rely on with **real
 //! data parallelism** on a pool of persistent worker threads:
 //!
-//! * a parallel iterator ([`Par`]) over slices, mutable slices, chunks,
-//!   integer ranges, and vectors, with the adapters the workspace uses
-//!   (`map`, `filter`, `filter_map`, `flat_map_iter`, `copied`, `zip`,
-//!   `enumerate`) and parallel terminals (`collect`, `for_each`, `sum`,
-//!   `count`, `min`, `max`, `all`, `any`, `reduce`);
+//! * a parallel iterator ([`Par`]) over slices, mutable slices, integer
+//!   ranges, and vectors, with the adapters the workspace uses (`map`,
+//!   `filter`, `filter_map`, `flat_map_iter`, `copied`, `zip`, `enumerate`)
+//!   and parallel terminals (`collect`, `for_each`, `sum`, `count`, `max`,
+//!   `all`, `any`);
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] and
 //!   [`current_num_threads`], so callers can pin a computation to a given
 //!   parallelism level (thread-count sweeps in the experiment harness);
@@ -259,17 +259,6 @@ where
         run_parts(self.parts, |p| p.sum::<S>()).into_iter().sum()
     }
 
-    /// Minimum item, `None` when empty.
-    pub fn min(self) -> Option<I::Item>
-    where
-        I::Item: Ord,
-    {
-        run_parts(self.parts, |p| p.min())
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
     /// Maximum item, `None` when empty.
     pub fn max(self) -> Option<I::Item>
     where
@@ -299,18 +288,6 @@ where
         run_parts(self.parts, |mut p| p.any(&pred))
             .into_iter()
             .any(|b| b)
-    }
-
-    /// Reduces with `op`, seeding every part (and the final combine) with
-    /// `identity`, exactly like rayon's `reduce`.
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> I::Item
-    where
-        ID: Fn() -> I::Item + Send + Sync,
-        OP: Fn(I::Item, I::Item) -> I::Item + Send + Sync,
-    {
-        run_parts(self.parts, |p| p.fold(identity(), &op))
-            .into_iter()
-            .fold(identity(), &op)
     }
 }
 
@@ -460,8 +437,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 pub trait ParallelSlice<T: Sync> {
     /// Parallel iterator over `&T`.
     fn par_iter(&self) -> Par<std::slice::Iter<'_, T>>;
-    /// Parallel iterator over contiguous chunks of up to `size` elements.
-    fn par_chunks(&self, size: usize) -> Par<std::vec::IntoIter<&[T]>>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
@@ -471,11 +446,6 @@ impl<T: Sync> ParallelSlice<T> for [T] {
             .map(|(s, e)| self[s..e].iter())
             .collect();
         Par { parts }
-    }
-
-    fn par_chunks(&self, size: usize) -> Par<std::vec::IntoIter<&[T]>> {
-        assert!(size > 0, "par_chunks: chunk size must be positive");
-        Par::from_vec(self.chunks(size).collect())
     }
 }
 
@@ -537,10 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_min_max_all_any() {
+    fn sum_max_all_any() {
         let data: Vec<u64> = (0..50_000).collect();
         assert_eq!(data.par_iter().sum::<u64>(), 50_000 * 49_999 / 2);
-        assert_eq!(data.par_iter().copied().min(), Some(0));
         assert_eq!(data.par_iter().copied().max(), Some(49_999));
         assert!(data.par_iter().all(|&x| x < 50_000));
         assert!(data.par_iter().any(|&x| x == 12_345));
@@ -586,14 +555,6 @@ mod tests {
         let mut v = vec![0u64; 100_000];
         v.par_iter_mut().for_each(|x| *x = 7);
         assert!(v.iter().all(|&x| x == 7));
-    }
-
-    #[test]
-    fn reduce_with_identity() {
-        let h = vec![1u64; 10_000]
-            .into_par_iter()
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(h, 10_000);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! The workspace is organized as:
 //!
-//! * [`greedy_prims`] — parallel primitives (scan, pack, sort, permutations).
+//! * [`greedy_prims`] — the parallel primitives the workspace runs: random
+//!   permutations, radix sort, pack, scan.
 //! * [`greedy_graph`] — graph substrate: CSR graphs, generators, line graphs, I/O.
 //! * [`greedy_core`] — the paper's algorithms: sequential greedy MIS/MM,
 //!   parallel-rounds, prefix-based, linear-work root-set implementations, the
@@ -63,7 +64,6 @@ pub mod prelude {
     pub use greedy_core::matching::verify::{verify_matching, verify_maximal_matching};
     pub use greedy_core::mis::luby::luby_mis;
     pub use greedy_core::mis::prefix::{prefix_mis, prefix_mis_with_stats, PrefixPolicy};
-    pub use greedy_core::mis::prefix_packed::{packed_prefix_mis, packed_prefix_mis_with_stats};
     pub use greedy_core::mis::rootset::rootset_mis;
     pub use greedy_core::mis::rounds::rounds_mis;
     pub use greedy_core::mis::sequential::sequential_mis;

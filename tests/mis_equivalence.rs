@@ -12,10 +12,6 @@ fn all_parallel_mis(graph: &Graph, pi: &Permutation) -> Vec<(&'static str, Vec<u
         ("rootset", rootset_mis(graph, pi)),
         ("reservations", reservation_mis(graph, pi)),
         (
-            "packed_prefix",
-            packed_prefix_mis(graph, pi, PrefixPolicy::FractionOfInput(0.05)),
-        ),
-        (
             "prefix_fixed_1",
             prefix_mis(graph, pi, PrefixPolicy::Fixed(1)),
         ),
