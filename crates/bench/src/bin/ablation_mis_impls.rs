@@ -16,7 +16,6 @@ use greedy_core::mis::rootset::rootset_mis_with_stats;
 use greedy_core::mis::rounds::rounds_mis_with_stats;
 use greedy_core::mis::sequential::sequential_mis_with_stats;
 use greedy_core::ordering::random_permutation;
-use greedy_core::reservations::mis::reservation_mis_with_granularity;
 use greedy_core::stats::WorkStats;
 
 fn main() {
@@ -77,11 +76,6 @@ fn main() {
 
     let (t, (mis, stats)) = time_best_of(cfg.reps, || rootset_mis_with_stats(&input.graph, &pi));
     report("rootset_linear_work", secs(t), stats, &mis);
-
-    let (t, (mis, stats)) = time_best_of(cfg.reps, || {
-        reservation_mis_with_granularity(&input.graph, &pi, (n / 50).max(1024))
-    });
-    report("deterministic_reservations", secs(t), stats, &mis);
 
     let (t, (mis, stats)) = time_best_of(cfg.reps, || luby_mis_with_stats(&input.graph, cfg.seed));
     report("luby", secs(t), stats, &mis);

@@ -46,8 +46,6 @@ use rayon::prelude::*;
 fn main() {
     let cfg = HarnessConfig::from_args();
     let scale = cfg.scale.name();
-    let out_dir = PathBuf::from("results");
-    fs::create_dir_all(&out_dir).expect("cannot create results/ directory");
 
     // (binary, graphs to run it on)
     let experiments: &[(&str, &[&str])] = &[
@@ -60,11 +58,32 @@ fn main() {
         ("ablation_grain_size", &["random"]),
     ];
 
+    // The experiments run as sibling binaries of this one. Check they are
+    // all built before doing any work, so a missing one cannot fail the run
+    // half way, after some rows are already written.
     let exe_dir = std::env::current_exe()
         .expect("current_exe")
         .parent()
         .expect("exe dir")
         .to_path_buf();
+    let exe = |bin: &str| exe_dir.join(format!("{bin}{}", std::env::consts::EXE_SUFFIX));
+    let missing: Vec<&str> = experiments
+        .iter()
+        .map(|(bin, _)| *bin)
+        .filter(|bin| !exe(bin).is_file())
+        .collect();
+    if !missing.is_empty() {
+        eprintln!(
+            "run_all: experiment binaries missing from {}: {}\n\
+             build them first with `cargo build --workspace --release`",
+            exe_dir.display(),
+            missing.join(", ")
+        );
+        std::process::exit(1);
+    }
+
+    let out_dir = PathBuf::from("results");
+    fs::create_dir_all(&out_dir).expect("cannot create results/ directory");
 
     if cfg.quick {
         // `--compare` diffs the fresh rows against whatever the trajectory
@@ -92,7 +111,7 @@ fn main() {
                 .map(|t| t.to_string())
                 .collect::<Vec<_>>()
                 .join(",");
-            let output = Command::new(exe_dir.join(bin))
+            let output = Command::new(exe(bin))
                 .args([
                     "--graph",
                     graph,

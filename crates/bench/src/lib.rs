@@ -246,7 +246,7 @@ impl HarnessConfig {
                 "--scale" => {
                     let v = take("--scale");
                     cfg.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale '{v}' (small|medium|paper)"));
+                        .unwrap_or_else(|| panic!("unknown scale '{v}' (tiny|small|medium|paper)"));
                 }
                 "--seed" => {
                     let v = take("--seed");
@@ -576,6 +576,18 @@ mod tests {
         assert_eq!(Scale::parse("small"), Some(Scale::Small));
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("x"), None);
+        for kind in [GraphKind::Random, GraphKind::Rmat] {
+            assert_eq!(GraphKind::parse(kind.name()), Some(kind));
+        }
+        for scale in [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Paper] {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tiny")]
+    fn config_rejects_unknown_scale() {
+        HarnessConfig::parse(["--scale", "huge"].into_iter().map(String::from));
     }
 
     #[test]

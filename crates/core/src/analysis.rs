@@ -58,63 +58,6 @@ pub fn dependence_length(graph: &Graph, pi: &Permutation) -> usize {
     rounds_mis_with_stats(graph, pi).1.rounds as usize
 }
 
-/// Per-round trace of Algorithm 2: the number of vertices accepted into the
-/// MIS in each round. Its length is the dependence length; its sum is the
-/// MIS size.
-pub fn round_trace(graph: &Graph, pi: &Permutation) -> Vec<usize> {
-    let n = graph.num_vertices();
-    assert_eq!(pi.len(), n, "round_trace: permutation size mismatch");
-    let rank = pi.rank();
-
-    // Round of v = 1 + max round over earlier neighbors that are *not* out,
-    // computed by simulating the peel: simpler and robust — run the peel.
-    #[derive(Clone, Copy, PartialEq)]
-    enum S {
-        Undecided,
-        In,
-        Out,
-    }
-    let mut state = vec![S::Undecided; n];
-    let mut remaining: Vec<u32> = (0..n as u32).collect();
-    let mut trace = Vec::new();
-    while !remaining.is_empty() {
-        let roots: Vec<u32> = remaining
-            .iter()
-            .copied()
-            .filter(|&v| {
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .all(|&w| rank[w as usize] > rank[v as usize] || state[w as usize] == S::Out)
-            })
-            .collect();
-        trace.push(roots.len());
-        for &r in &roots {
-            state[r as usize] = S::In;
-        }
-        for &r in &roots {
-            for &w in graph.neighbors(r) {
-                if state[w as usize] == S::Undecided {
-                    state[w as usize] = S::Out;
-                }
-            }
-        }
-        let before = remaining.len();
-        remaining.retain(|&v| state[v as usize] == S::Undecided);
-        assert!(remaining.len() < before, "round_trace: no progress");
-    }
-    trace
-}
-
-/// Convenience: the expected-shape check of Theorem 3.5, returning
-/// `(dependence_length, ceil(log2(n))^2)` so callers can compare the measured
-/// value against the theory's order of growth.
-pub fn dependence_vs_log_squared(graph: &Graph, pi: &Permutation) -> (usize, usize) {
-    let n = graph.num_vertices().max(2);
-    let log = (n as f64).log2().ceil() as usize;
-    (dependence_length(graph, pi), log * log)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,17 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn dependence_length_equals_round_trace_length() {
-        let g = random_graph(300, 1_200, 3);
-        let pi = random_permutation(300, 4);
-        let trace = round_trace(&g, &pi);
-        assert_eq!(trace.len(), dependence_length(&g, &pi));
-        let mis_size: usize = trace.iter().sum();
-        let mis = crate::mis::sequential::sequential_mis(&g, &pi);
-        assert_eq!(mis_size, mis.len());
-    }
-
-    #[test]
     fn dependence_length_below_longest_path() {
         for seed in 0..3 {
             let g = random_graph(400, 2_000, seed);
@@ -195,7 +127,9 @@ mod tests {
         // small constant of log²n for a random order (Theorem 3.5).
         let g = random_graph(3_000, 15_000, 6);
         let pi = random_permutation(3_000, 7);
-        let (dep, log_sq) = dependence_vs_log_squared(&g, &pi);
+        let dep = dependence_length(&g, &pi);
+        let log = 3_000f64.log2().ceil() as usize;
+        let log_sq = log * log;
         assert!(
             dep <= 2 * log_sq,
             "dependence length {dep} far above log²n = {log_sq}"

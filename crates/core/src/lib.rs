@@ -36,14 +36,10 @@
 //!
 //! [`reservations`] holds the deterministic-reservations driver
 //! ([`reservations::speculative_for::speculative_for`]) that
-//! [`matching::prefix::prefix_matching`] runs on, and its write-with-min
-//! cells. Its MIS and matching backends
-//! ([`reservations::mis::reservation_mis`],
-//! [`reservations::matching::reservation_matching`]) are the two Algorithm 3
-//! loops, [`mis::prefix::prefix_mis`] and
-//! [`matching::prefix::prefix_matching`], at a fixed prefix size. The MIS
-//! loop needs no reservation cell, because only a vertex writes its own
-//! decision.
+//! [`matching::prefix::prefix_matching`] runs on. Each problem has one
+//! Algorithm 3 loop; a fixed-granularity reservations run is that loop at
+//! [`PrefixPolicy::Fixed`](mis::prefix::PrefixPolicy::Fixed). The MIS loop
+//! needs no reservation, because only a vertex writes its own decision.
 //!
 //! ## Analysis
 //!

@@ -32,8 +32,8 @@ use crate::stats::WorkStats;
 
 /// One speculative loop body. `i` is the iterate index in the *sequential*
 /// order (0 = highest priority). Implementations use interior mutability
-/// (atomics / [`crate::reservations::reserve_cell::ReserveCell`]) for shared
-/// state. The schedule cannot change a step's decisions, nor the driver's
+/// (atomics; a priority reservation is one `fetch_min`) for shared state.
+/// The schedule cannot change a step's decisions, nor the driver's
 /// counters, if no phase reads what another iterate writes in that same
 /// phase, apart from priority cells whose winner is already fixed.
 pub trait ReservationStep: Sync {

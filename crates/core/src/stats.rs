@@ -41,14 +41,6 @@ impl WorkStats {
         Self::default()
     }
 
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &WorkStats) {
-        self.rounds += other.rounds;
-        self.steps += other.steps;
-        self.vertex_work += other.vertex_work;
-        self.edge_work += other.edge_work;
-    }
-
     /// Total work proxy: element examinations plus neighbor inspections.
     pub fn total_work(&self) -> u64 {
         self.vertex_work + self.edge_work
@@ -73,19 +65,6 @@ impl WorkStats {
             self.rounds as f64 / input_size as f64
         }
     }
-
-    /// CSV header matching [`WorkStats::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "rounds,steps,vertex_work,edge_work"
-    }
-
-    /// The counters as a CSV row.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{}",
-            self.rounds, self.steps, self.vertex_work, self.edge_work
-        )
-    }
 }
 
 impl std::fmt::Display for WorkStats {
@@ -103,32 +82,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_counters() {
-        let mut a = WorkStats {
-            rounds: 1,
-            steps: 2,
-            vertex_work: 3,
-            edge_work: 4,
-        };
-        let b = WorkStats {
-            rounds: 10,
-            steps: 20,
-            vertex_work: 30,
-            edge_work: 40,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            WorkStats {
-                rounds: 11,
-                steps: 22,
-                vertex_work: 33,
-                edge_work: 44
-            }
-        );
-    }
-
-    #[test]
     fn normalized_quantities() {
         let s = WorkStats {
             rounds: 50,
@@ -141,21 +94,6 @@ mod tests {
         assert_eq!(s.work_per_element(0), 0.0);
         assert_eq!(s.rounds_per_element(0), 0.0);
         assert_eq!(s.total_work(), 200);
-    }
-
-    #[test]
-    fn csv_round_trip_shape() {
-        let s = WorkStats {
-            rounds: 1,
-            steps: 2,
-            vertex_work: 3,
-            edge_work: 4,
-        };
-        assert_eq!(
-            WorkStats::csv_header().split(',').count(),
-            s.to_csv_row().split(',').count()
-        );
-        assert_eq!(s.to_csv_row(), "1,2,3,4");
     }
 
     #[test]

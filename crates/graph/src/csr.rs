@@ -108,25 +108,6 @@ impl Graph {
         Self::from_edges(edges.num_vertices(), edges.edges())
     }
 
-    /// Builds a graph directly from raw CSR arrays.
-    ///
-    /// # Panics
-    /// Panics if the arrays fail [`Graph::validate`]. Intended for tests and
-    /// for loading graphs produced by [`crate::io`].
-    pub fn from_raw_csr(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        let g = Self { offsets, neighbors };
-        if let Err(e) = g.validate() {
-            panic!("Graph::from_raw_csr: invalid CSR input: {e}");
-        }
-        g
-    }
-
-    /// Crate-internal constructor that skips validation; callers must
-    /// validate separately (see `Graph::from_raw_csr_checked` in `io`).
-    pub(crate) fn from_parts_unchecked(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        Self { offsets, neighbors }
-    }
-
     /// An edgeless graph on `n` vertices.
     pub fn empty(n: usize) -> Self {
         Self {
@@ -469,19 +450,6 @@ mod tests {
                 neighbor: 5
             })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid CSR input")]
-    fn from_raw_csr_rejects_invalid() {
-        Graph::from_raw_csr(vec![0, 1], vec![0]);
-    }
-
-    #[test]
-    fn from_raw_csr_accepts_valid() {
-        let t = triangle();
-        let g = Graph::from_raw_csr(t.offsets().to_vec(), t.neighbor_array().to_vec());
-        assert_eq!(g, t);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # greedy-graph
 //!
 //! Graph substrate for the `greedy-parallel` workspace: compact CSR graphs,
-//! edge lists, graph generators, line graphs, text I/O, and statistics.
+//! edge lists, graph generators and line graphs.
 //!
 //! The SPAA 2012 paper evaluates its algorithms on two inputs — a sparse
 //! uniform random graph (n = 10⁷, m = 5·10⁷) and an R-MAT graph
@@ -33,13 +33,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod csr;
 pub mod edge_list;
 pub mod gen;
-pub mod io;
 pub mod line_graph;
-pub mod stats;
 
 pub use csr::Graph;
 pub use edge_list::EdgeList;

@@ -35,7 +35,9 @@
 //! [`recover`] loads the newest valid checkpoint, rebuilds the engine with
 //! [`Engine::from_graph`] (state is a pure function of edge set + seed —
 //! the paper's uniqueness fact is what makes the checkpoint this small),
-//! then replays every logged round after it: each record's batch goes
+//! then replays every logged round after it, reading from the segment that
+//! holds the first of them (so damage in an older segment that
+//! [`WalConfig::retain_all`] kept cannot hide them): each record's batch goes
 //! through [`Engine::apply_batch`] while its delta is folded into a
 //! [`ReplicaState`], and the two reconstructions must land byte-identical.
 //! A torn final record (crash mid-write), a corrupt CRC or a round gap ends
@@ -825,8 +827,9 @@ fn cut_log(dir: &Path, end: LogEnd, round: u64) -> io::Result<()> {
 }
 
 /// Reads every round record after `after` from the segments in `dir`, in
-/// round order, stopping (without error) at the first torn or corrupt
-/// record or round gap; the first record past `after` must be `after + 1`.
+/// round order, starting at the segment that holds round `after + 1` and
+/// stopping (without error) at the first torn or corrupt record or round
+/// gap; the first record past `after` must be `after + 1`.
 /// Returns the records and whether the log was damaged. Public so audits
 /// (and `serve_load --crash-recover`) can replay the raw log independently
 /// of [`recover`].
@@ -840,7 +843,14 @@ pub fn read_log_records(dir: &Path, after: u64) -> io::Result<(Vec<WalRecord>, b
 fn read_log(dir: &Path, after: u64) -> io::Result<(Vec<WalRecord>, Option<LogEnd>)> {
     let mut records = Vec::new();
     let mut last_round: Option<u64> = None;
-    for first in list_segments(dir)? {
+    // Start at the newest segment that can hold round `after + 1`: damage in
+    // an earlier segment (kept by `retain_all`) lies in rounds the caller
+    // already has, and must not hide the rounds after it.
+    let segments = list_segments(dir)?;
+    let start = segments
+        .partition_point(|&first| first <= after + 1)
+        .saturating_sub(1);
+    for &first in &segments[start..] {
         let data = fs::read(segment_path(dir, first))?;
         let mut pos = 0usize;
         loop {

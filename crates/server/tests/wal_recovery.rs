@@ -242,10 +242,11 @@ fn reopen_refuses_to_cut_records_a_checkpoint_covers() {
         retain_all: true,
         ..quick_wal(dir.clone())
     };
-    // Round 3 is corrupt, but recovery reaches round 5 from the round-5
-    // checkpoint: cutting the log at round 3 would remove rounds 3..=5.
+    // Round 5, the first record of `wal-5`, is corrupt, but recovery reaches
+    // round 5 from the round-5 checkpoint: cutting the log at round 5 would
+    // remove round 5.
     run_and_crash(&cfg, 200, 5, 81, 6);
-    corrupt_record(&dir, 1, 2);
+    corrupt_record(&dir, 5, 0);
     let recovered = wal::recover(&dir).expect("recover").expect("log exists");
     assert_eq!((recovered.round, recovered.tail_truncated), (5, true));
     let log = || {
@@ -258,6 +259,29 @@ fn reopen_refuses_to_cut_records_a_checkpoint_covers() {
     let before = log();
     assert!(Wal::reopen(cfg, &recovered).is_err());
     assert_eq!(log(), before, "a refused cut must leave the log untouched");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damage_a_checkpoint_covers_does_not_hide_later_rounds() {
+    let dir = scratch("covered_damage_later_rounds");
+    let cfg = WalConfig {
+        checkpoint_every: 5,
+        retain_all: true,
+        ..quick_wal(dir.clone())
+    };
+    // Round 3 is corrupt in `wal-1`, which `retain_all` keeps, but the
+    // round-5 checkpoint covers it: recovery reads from `wal-5`, the
+    // segment that holds round 6, and reaches round 6 intact.
+    run_and_crash(&cfg, 200, 5, 81, 6);
+    corrupt_record(&dir, 1, 2);
+    let recovered = wal::recover(&dir).expect("recover").expect("log exists");
+    assert_eq!((recovered.round, recovered.tail_truncated), (6, false));
+    assert_eq!(
+        recovered.engine.server_snapshot(),
+        replay_prefix(200, 5, 81, 6).server_snapshot()
+    );
+    assert!(Wal::reopen(cfg, &recovered).is_ok());
     let _ = fs::remove_dir_all(&dir);
 }
 

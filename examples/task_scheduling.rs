@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example task_scheduling`
 
-use greedy_graph::builder::GraphBuilder;
+use greedy_graph::edge_list::Edge;
 use greedy_parallel::prelude::*;
 
 /// A synthetic task touching a few shared resources.
@@ -48,15 +48,15 @@ fn conflict_graph(tasks: &[Task], num_resources: usize) -> Graph {
             by_resource[r as usize].push(task.id);
         }
     }
-    let mut builder = GraphBuilder::new(tasks.len());
+    let mut edges = Vec::new();
     for group in &by_resource {
         for (i, &a) in group.iter().enumerate() {
             for &b in &group[i + 1..] {
-                builder.add_edge(a, b);
+                edges.push(Edge::new(a, b));
             }
         }
     }
-    builder.build_graph()
+    Graph::from_edges(tasks.len(), &edges)
 }
 
 fn main() {

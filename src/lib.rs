@@ -8,18 +8,20 @@
 //!
 //! * [`greedy_prims`] — the parallel primitives the workspace runs: random
 //!   permutations, radix sort, pack, scan.
-//! * [`greedy_graph`] — graph substrate: CSR graphs, generators, line graphs, I/O.
+//! * [`greedy_graph`] — graph substrate: CSR graphs, edge lists,
+//!   generators, line graphs.
 //! * [`greedy_core`] — the paper's algorithms: sequential greedy MIS/MM,
 //!   parallel-rounds, prefix-based, linear-work root-set implementations, the
 //!   Luby baseline, verifiers, dependence-length analysis, and the
-//!   deterministic-reservations (`speculative_for`) framework with its
-//!   reservation-based MIS/MM backends.
+//!   deterministic-reservations driver (`speculative_for`) that prefix
+//!   matching runs on.
 //! * [`greedy_apps`] — applications: graph coloring, task scheduling,
 //!   vertex cover, spanning forest.
 //! * [`greedy_engine`] — batch-dynamic maintenance of greedy MIS/matching
 //!   under streaming edge-update batches.
 //! * [`greedy_server`] — batching update/query TCP service over the engine
-//!   (group-committed rounds, snapshot-published reads).
+//!   (group-committed rounds, snapshot-published reads), with a write-ahead
+//!   log, a delta feed for subscribers and a delta-folding replica.
 //!
 //! This crate re-exports those crates and provides a [`prelude`] so examples
 //! and downstream users can `use greedy_parallel::prelude::*;`.
@@ -69,8 +71,6 @@ pub mod prelude {
     pub use greedy_core::mis::sequential::sequential_mis;
     pub use greedy_core::mis::verify::{verify_mis, verify_same_set};
     pub use greedy_core::ordering::{random_edge_permutation, random_permutation};
-    pub use greedy_core::reservations::matching::reservation_matching;
-    pub use greedy_core::reservations::mis::reservation_mis;
     pub use greedy_core::reservations::speculative_for::{speculative_for, ReservationStep};
     pub use greedy_core::stats::WorkStats;
     pub use greedy_engine::prelude::{

@@ -96,14 +96,11 @@ fn sweep_threads() -> Vec<usize> {
     t
 }
 
-/// The work counters of the reservation-style solvers depend only on the
-/// input, the order and the prefix size: every step decides from what the
-/// previous phase published, never from a write racing in the same phase.
+/// The work counters of the prefix solvers depend only on the input, the
+/// order and the prefix size: every step decides from what the previous
+/// phase published, never from a write racing in the same phase.
 #[test]
 fn work_counters_are_thread_count_independent() {
-    use greedy_core::reservations::matching::reservation_matching_with_granularity;
-    use greedy_core::reservations::mis::reservation_mis_with_granularity;
-
     let graph = random_graph(20_000, 100_000, 29);
     let edges = graph.to_edge_list();
     let pi = random_permutation(graph.num_vertices(), 30);
@@ -114,8 +111,9 @@ fn work_counters_are_thread_count_independent() {
             prefix_matching_with_stats(&edges, &edge_pi, PrefixPolicy::Fixed(64)).1,
         ];
         for granularity in [2_000, 20_000] {
-            stats.push(reservation_matching_with_granularity(&edges, &edge_pi, granularity).1);
-            stats.push(reservation_mis_with_granularity(&graph, &pi, granularity).1);
+            let policy = PrefixPolicy::Fixed(granularity);
+            stats.push(prefix_matching_with_stats(&edges, &edge_pi, policy).1);
+            stats.push(prefix_mis_with_stats(&graph, &pi, policy).1);
         }
         stats
     };

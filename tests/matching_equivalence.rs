@@ -15,7 +15,6 @@ fn check_all_equal(edges: &EdgeList, pi: &Permutation) {
     let implementations: Vec<(&str, Vec<u32>)> = vec![
         ("rounds", rounds_matching(edges, pi)),
         ("rootset", rootset_matching(edges, pi)),
-        ("reservations", reservation_matching(edges, pi)),
         (
             "prefix_fixed_1",
             prefix_matching(edges, pi, PrefixPolicy::Fixed(1)),

@@ -10,7 +10,6 @@ fn all_parallel_mis(graph: &Graph, pi: &Permutation) -> Vec<(&'static str, Vec<u
     vec![
         ("rounds", rounds_mis(graph, pi)),
         ("rootset", rootset_mis(graph, pi)),
-        ("reservations", reservation_mis(graph, pi)),
         (
             "prefix_fixed_1",
             prefix_mis(graph, pi, PrefixPolicy::Fixed(1)),

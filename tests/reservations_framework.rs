@@ -2,20 +2,23 @@
 //! *generic* tool: a user-defined greedy loop (first-come bucket claiming,
 //! i.e. greedy hashing with collisions resolved in priority order) must give
 //! exactly the sequential loop's answer for every granularity, and the
-//! reservation-based MIS/MM backends must stay consistent with the paper's
-//! core implementations under thread-pool changes.
+//! fixed-granularity prefix MIS/MM loops must stay consistent with the
+//! sequential implementations under thread-pool changes.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use greedy_core::reservations::reserve_cell::ReserveTable;
 use greedy_core::reservations::speculative_for::{speculative_for, ReservationStep};
 use greedy_parallel::prelude::*;
+
+/// No iterate holds the bucket's reservation.
+const FREE: u64 = u64::MAX;
 
 /// Greedy bucket claiming: item `i` wants bucket `want[i]`; processing items
 /// in order, an item gets its bucket iff no earlier item already took it.
 struct BucketClaim<'a> {
     want: &'a [u32],
-    cells: ReserveTable,
+    /// Per bucket, the smallest item reserving it this step (`FREE` if none).
+    cells: Vec<AtomicU64>,
     owner: Vec<AtomicU32>,
 }
 
@@ -25,21 +28,22 @@ impl ReservationStep for BucketClaim<'_> {
         if self.owner[b].load(Ordering::SeqCst) != u32::MAX {
             return true; // bucket already taken by an earlier item
         }
-        self.cells.reserve(b, i as u64);
+        self.cells[b].fetch_min(i as u64, Ordering::SeqCst);
         true
     }
 
     fn commit(&self, i: usize) -> bool {
         let b = self.want[i] as usize;
+        let holds = self.cells[b].load(Ordering::SeqCst) == i as u64;
         if self.owner[b].load(Ordering::SeqCst) != u32::MAX {
-            if self.cells.holds(b, i as u64) {
-                self.cells.reset(b);
+            if holds {
+                self.cells[b].store(FREE, Ordering::SeqCst);
             }
             return true; // lost: an earlier item owns the bucket
         }
-        if self.cells.holds(b, i as u64) {
+        if holds {
             self.owner[b].store(i as u32, Ordering::SeqCst);
-            self.cells.reset(b);
+            self.cells[b].store(FREE, Ordering::SeqCst);
             true
         } else {
             false
@@ -68,7 +72,7 @@ fn custom_greedy_loop_matches_sequential_for_every_granularity() {
     for granularity in [1usize, 5, 64, 500, 4_000] {
         let step = BucketClaim {
             want: &want,
-            cells: ReserveTable::new(num_buckets),
+            cells: (0..num_buckets).map(|_| AtomicU64::new(FREE)).collect(),
             owner: (0..num_buckets).map(|_| AtomicU32::new(u32::MAX)).collect(),
         };
         let stats = speculative_for(&step, want.len(), granularity);
@@ -98,8 +102,8 @@ fn reservation_backends_agree_with_core_across_pools() {
             .expect("pool");
         let (mis, mm) = pool.install(|| {
             (
-                reservation_mis(&graph, &pi),
-                reservation_matching(&edges, &edge_pi),
+                prefix_mis(&graph, &pi, PrefixPolicy::Fixed(1024)),
+                prefix_matching(&edges, &edge_pi, PrefixPolicy::Fixed(1024)),
             )
         });
         assert_eq!(mis, mis_ref, "{threads} threads");
@@ -116,9 +120,10 @@ fn reservation_mis_handles_adversarial_structures() {
         path_graph(300),
         Graph::empty(20),
     ] {
+        let fixed = |pi: &Permutation| prefix_mis(&graph, pi, PrefixPolicy::Fixed(1024));
         let pi = identity_permutation(graph.num_vertices());
-        assert_eq!(reservation_mis(&graph, &pi), sequential_mis(&graph, &pi));
+        assert_eq!(fixed(&pi), sequential_mis(&graph, &pi));
         let pi = random_permutation(graph.num_vertices(), 9);
-        assert_eq!(reservation_mis(&graph, &pi), sequential_mis(&graph, &pi));
+        assert_eq!(fixed(&pi), sequential_mis(&graph, &pi));
     }
 }

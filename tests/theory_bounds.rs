@@ -3,7 +3,8 @@
 //! processing a large-enough prefix (Lemma 3.1 / Corollary 3.2), and the
 //! complete graph separates dependence length from the longest DAG path.
 
-use greedy_core::analysis::{dependence_length, priority_dag_longest_path, round_trace};
+use greedy_core::analysis::{dependence_length, priority_dag_longest_path};
+use greedy_core::mis::rounds::rounds_mis_with_stats;
 use greedy_parallel::prelude::*;
 
 #[test]
@@ -54,17 +55,31 @@ fn dependence_never_exceeds_longest_path() {
 
 #[test]
 fn round_trace_accounts_for_every_mis_vertex() {
+    // The rounds of Algorithm 2 together accept exactly the sequential
+    // greedy MIS, and every round accepts at least one vertex (the earliest
+    // undecided vertex is always a root).
     let graph = rmat_graph(11, 10_000, 5);
     let pi = random_permutation(graph.num_vertices(), 6);
-    let trace = round_trace(&graph, &pi);
-    let mis = sequential_mis(&graph, &pi);
-    assert_eq!(trace.iter().sum::<usize>(), mis.len());
+    let (mis, stats) = rounds_mis_with_stats(&graph, &pi);
+    assert_eq!(mis, sequential_mis(&graph, &pi));
+    let rounds = stats.rounds as usize;
     assert!(
-        trace.iter().all(|&r| r > 0),
+        (1..=mis.len()).contains(&rounds),
         "every round must accept at least one vertex"
     );
-    // Early rounds accept the bulk of the MIS; the last round is tiny.
-    assert!(trace[0] > *trace.last().unwrap());
+    // Early rounds accept the bulk of the MIS: the first round's roots, the
+    // vertices with no earlier neighbor, exceed an average round's share.
+    let rank = pi.rank();
+    let first_round = graph
+        .vertices()
+        .filter(|&v| {
+            graph
+                .neighbors(v)
+                .iter()
+                .all(|&w| rank[w as usize] > rank[v as usize])
+        })
+        .count();
+    assert!(first_round * rounds > mis.len());
 }
 
 #[test]
