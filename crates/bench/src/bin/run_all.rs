@@ -31,7 +31,7 @@ use greedy_bench::{
 };
 use greedy_core::matching::prefix::prefix_matching;
 use greedy_core::matching::sequential::sequential_matching;
-use greedy_core::mis::prefix::PrefixPolicy;
+use greedy_core::mis::prefix::{prefix_mis, PrefixPolicy};
 use greedy_core::mis::rootset::rootset_mis;
 use greedy_core::mis::sequential::sequential_mis;
 use greedy_core::ordering::{random_edge_permutation, random_permutation};
@@ -182,7 +182,7 @@ struct QuickEntry {
 }
 
 /// Times the permutation and CSR-build hot paths, the prefix and sequential
-/// matching kernels, the root-set MIS, the batch-dynamic engine's
+/// MIS and matching kernels, the root-set MIS, the batch-dynamic engine's
 /// construction, its mixed-batch and matching-heavy update paths and its
 /// arena's 4,096-edge insert and delete, and the rayon shim's per-call fork
 /// cost (each at every `--threads` value),
@@ -227,9 +227,24 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: graph.num_edges(),
             seconds: secs(csr_time),
         });
-        // The paper's matching kernel at the default 2 % prefix, beside the
-        // sequential loop whose result it must reproduce.
+        // The paper's MIS and matching kernels at the default 2 % prefix,
+        // each beside the sequential loop whose result it must reproduce.
+        let (mut seq_mis, mut prefix_mis_set) = (Vec::new(), Vec::new());
         let (mut seq_mm, mut prefix_mm) = (Vec::new(), Vec::new());
+        kernels.extend(run_on_threads(threads, || {
+            let m = graph.num_edges();
+            let mut prefix =
+                || prefix_mis_set = prefix_mis(&graph, &vertex_pi, PrefixPolicy::default());
+            let mut seq = || seq_mis = sequential_mis(&graph, &vertex_pi);
+            [
+                per_call("core_prefix_mis", threads, CSR_N, m, 1, &mut prefix),
+                per_call("core_sequential_mis", threads, CSR_N, m, 1, &mut seq),
+            ]
+        }));
+        assert_eq!(
+            prefix_mis_set, seq_mis,
+            "prefix MIS differs from sequential"
+        );
         kernels.extend(run_on_threads(threads, || {
             let m = edges.num_edges();
             let mut prefix =
@@ -254,11 +269,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
                 per_call("engine_from_graph", threads, CSR_N, m, 1, &mut build),
             ]
         }));
-        assert_eq!(
-            rootset,
-            sequential_mis(&graph, &vertex_pi),
-            "root-set MIS differs from sequential"
-        );
+        assert_eq!(rootset, seq_mis, "root-set MIS differs from sequential");
         let engine_pi = vertex_permutation(CSR_N, cfg.seed);
         assert_eq!(
             engine.mis(),

@@ -6,17 +6,54 @@
 //! fully decided. Smaller prefixes do less redundant work (a prefix of one
 //! vertex is exactly the sequential algorithm); larger prefixes expose more
 //! parallelism. Whatever the prefix size, the returned MIS is identical to
-//! the sequential one.
+//! the sequential one. This is the implementation the paper benchmarks
+//! (Section 6).
 //!
-//! This is the implementation the paper benchmarks (Section 6), using lazy
-//! status updates on the original vertex array: vertices knocked out by an
-//! earlier prefix are simply skipped when they come up in a later prefix.
+//! # Vertex states
+//!
+//! Each vertex has one state byte, holding one of four codes:
+//!
+//! * **Undecided** — in a later prefix, with no neighbor in the MIS yet;
+//! * **Pending** — in the current prefix and not yet decided. A vertex gets
+//!   it when its prefix's active list is built, unless an earlier prefix
+//!   already knocked it out;
+//! * **In** — in the MIS;
+//! * **Out** — some neighbor is in the MIS.
+//!
+//! A step decides every pending vertex in one parallel pass over the
+//! active list, reading its neighbors' state bytes:
+//!
+//! * an In neighbor puts it Out. That neighbor is always earlier: a later
+//!   vertex cannot be accepted while an earlier neighbor is pending, and a
+//!   vertex stays pending from its prefix's start until it is decided;
+//! * an earlier Pending neighbor makes it wait for the next step. Only here
+//!   is a rank read;
+//! * Undecided and Out neighbors are skipped.
+//!
+//! A vertex with no In and no earlier Pending neighbor is In. Each
+//! decision is stored beside its vertex id in the active list and reaches
+//! the state bytes only after the pass, so no decision reads another one
+//! made in the same step.
+//!
+//! # Knock-out inside the pass
+//!
+//! A vertex that decides In at once stores Out into its Undecided
+//! neighbors, while its adjacency is still in cache. Those neighbors all
+//! lie in later prefixes, and no decision tells Undecided from Out, so a
+//! concurrent decision that reads such a byte before or after the store
+//! decides the same: the MIS and every counter are the same for every
+//! schedule and thread count. The only read that tells a knocked-out byte
+//! from an Undecided one is the build of its own prefix's active list. That
+//! build runs after the pass's parallel terminal has returned, and every
+//! write of the pass happens-before it (the memory-ordering note of
+//! [`crate::reservations::speculative_for`]), so `Relaxed` atomics suffice.
+
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 use greedy_graph::csr::Graph;
 use greedy_prims::permutation::Permutation;
 use rayon::prelude::*;
 
-use crate::mis::{collect_in_vertices, VertexState};
 use crate::stats::WorkStats;
 
 /// How the prefix size is chosen each round.
@@ -73,10 +110,20 @@ pub fn prefix_mis(graph: &Graph, pi: &Permutation, policy: PrefixPolicy) -> Vec<
     prefix_mis_with_stats(graph, pi, policy).0
 }
 
+/// A vertex of a later prefix with no neighbor in the MIS yet.
+const UNDECIDED: u8 = 0;
+/// A vertex in the MIS.
+const IN: u8 = 1;
+/// A vertex with a neighbor in the MIS.
+const OUT: u8 = 2;
+/// A vertex of the current prefix that is not yet decided.
+const PENDING: u8 = 3;
+
 /// Runs the prefix-based parallel greedy MIS and reports work counters:
 /// `rounds` = prefixes processed, `steps` = inner parallel steps summed over
 /// prefixes, `vertex_work` = vertex examinations (≥ n; equal to n at prefix
-/// size 1), `edge_work` = adjacency inspections.
+/// size 1), `edge_work` = adjacency inspections: a vertex's degree each
+/// step it is active, and once more when it is accepted, for its knock-out.
 pub fn prefix_mis_with_stats(
     graph: &Graph,
     pi: &Permutation,
@@ -90,33 +137,43 @@ pub fn prefix_mis_with_stats(
         pi.len(),
         n
     );
-    let max_degree = graph.max_degree();
+    // Only the adaptive policy reads the maximum degree; skip that O(n)
+    // pass otherwise.
+    let max_degree = match policy {
+        PrefixPolicy::Adaptive { .. } => graph.max_degree(),
+        _ => 0,
+    };
     let rank = pi.rank();
     let order = pi.order();
 
-    let mut state = vec![VertexState::Undecided; n];
+    let mut state: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(UNDECIDED)).collect();
     let mut stats = WorkStats::new();
+    // The current prefix's pending vertices, each beside its decision of
+    // the current step. One buffer serves every step of every prefix.
+    let mut active: Vec<(u32, u8)> = Vec::new();
     // `start` is the first position in π not yet covered by a prefix.
     let mut start = 0usize;
 
     while start < n {
-        let remaining = n - start;
-        let k = policy.prefix_size(n, remaining, max_degree, stats.rounds);
+        let k = policy.prefix_size(n, n - start, max_degree, stats.rounds);
         let prefix = &order[start..start + k];
+        start += k;
         stats.rounds += 1;
 
-        // Vertices of the prefix that are still undecided (lazy status
-        // updates: earlier prefixes may already have knocked some out).
-        let mut active: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&v| state[v as usize] == VertexState::Undecided)
-            .collect();
+        // Earlier prefixes may already have knocked some of the prefix's
+        // vertices out; the rest become pending.
+        for &v in prefix {
+            let s = state[v as usize].get_mut();
+            if *s == UNDECIDED {
+                *s = PENDING;
+                active.push((v, PENDING));
+            }
+        }
         // Work accounting matches the paper's normalization: the sequential
         // algorithm (prefix size 1) examines each vertex exactly once, so a
         // vertex already decided when its prefix arrives is charged here and
-        // the still-active ones are charged per inner step below.
-        stats.vertex_work += (prefix.len() - active.len()) as u64;
+        // the pending ones are charged per inner step below.
+        stats.vertex_work += (k - active.len()) as u64;
 
         // Run the parallel greedy steps (Algorithm 2) inside the prefix. All
         // vertices earlier than the prefix are already decided, so a prefix
@@ -124,75 +181,67 @@ pub fn prefix_mis_with_stats(
         while !active.is_empty() {
             stats.steps += 1;
             stats.vertex_work += active.len() as u64;
-
-            let decisions: Vec<VertexState> = active
-                .par_iter()
-                .map(|&v| {
-                    let mut has_undecided_earlier = false;
-                    for &w in graph.neighbors(v) {
-                        if rank[w as usize] < rank[v as usize] {
-                            match state[w as usize] {
-                                VertexState::In => return VertexState::Out,
-                                VertexState::Undecided => has_undecided_earlier = true,
-                                VertexState::Out => {}
-                            }
-                        }
-                    }
-                    if has_undecided_earlier {
-                        VertexState::Undecided
+            stats.edge_work += active
+                .par_iter_mut()
+                .map(|(v, decision)| {
+                    let neighbors = graph.neighbors(*v);
+                    *decision = decide(*v, neighbors, rank, &state);
+                    let degree = neighbors.len() as u64;
+                    if *decision == IN {
+                        2 * degree
                     } else {
-                        VertexState::In
+                        degree
                     }
                 })
-                .collect();
-            stats.edge_work += active.iter().map(|&v| graph.degree(v) as u64).sum::<u64>();
+                .sum::<u64>();
 
-            let mut next_active = Vec::with_capacity(active.len());
-            for (i, &v) in active.iter().enumerate() {
-                match decisions[i] {
-                    VertexState::Undecided => next_active.push(v),
-                    s => state[v as usize] = s,
+            let before = active.len();
+            active.retain(|&(v, decision)| {
+                if decision != PENDING {
+                    *state[v as usize].get_mut() = decision;
                 }
-            }
+                decision == PENDING
+            });
             assert!(
-                next_active.len() < active.len(),
+                active.len() < before,
                 "prefix_mis: no progress within a prefix step"
             );
-            active = next_active;
         }
-
-        // Knock out the later neighbors of the vertices this prefix accepted.
-        // (Their own later prefixes will observe state Out lazily; marking
-        // them now keeps the inner loop's reads consistent.)
-        let newly_in: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&v| state[v as usize] == VertexState::In)
-            .collect();
-        let knocked: Vec<u32> = newly_in
-            .par_iter()
-            .flat_map_iter(|&v| {
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(move |&w| rank[w as usize] > rank[v as usize])
-            })
-            .collect();
-        stats.edge_work += newly_in
-            .iter()
-            .map(|&v| graph.degree(v) as u64)
-            .sum::<u64>();
-        for w in knocked {
-            if state[w as usize] == VertexState::Undecided {
-                state[w as usize] = VertexState::Out;
-            }
-        }
-
-        start += k;
     }
 
-    (collect_in_vertices(&state), stats)
+    let mis = state
+        .into_iter()
+        .enumerate()
+        .filter_map(|(v, s)| (s.into_inner() == IN).then_some(v as u32))
+        .collect();
+    (mis, stats)
+}
+
+/// Decides pending vertex `v` for the current step from its neighbors'
+/// state bytes (see the module docs): [`OUT`] next to an In neighbor,
+/// [`PENDING`] while an earlier neighbor is pending, and otherwise [`IN`],
+/// after storing [`OUT`] into every Undecided neighbor.
+fn decide(v: u32, neighbors: &[u32], rank: &[u32], state: &[AtomicU8]) -> u8 {
+    let mut waits = false;
+    for &w in neighbors {
+        match state[w as usize].load(Relaxed) {
+            IN => return OUT,
+            PENDING if !waits => waits = rank[w as usize] < rank[v as usize],
+            _ => {}
+        }
+    }
+    if waits {
+        return PENDING;
+    }
+    // Only knock-outs write during the pass, and they all store Out, so a
+    // load and a store need no read-modify-write.
+    for &w in neighbors {
+        let s = &state[w as usize];
+        if s.load(Relaxed) == UNDECIDED {
+            s.store(OUT, Relaxed);
+        }
+    }
+    IN
 }
 
 #[cfg(test)]
@@ -250,14 +299,26 @@ mod tests {
             ("grid", grid_graph(8, 9)),
         ];
         for (name, g) in graphs {
-            let pi = random_permutation(g.num_vertices(), 11);
-            let expected = sequential_mis(&g, &pi);
-            for policy in policies() {
-                assert_eq!(
-                    prefix_mis(&g, &pi, policy),
-                    expected,
-                    "policy {policy:?} diverged on {name}"
-                );
+            let n = g.num_vertices();
+            // The identity and reversed orders make long chains of earlier
+            // pending neighbors inside a prefix.
+            let orders = [
+                ("random", random_permutation(n, 11)),
+                ("identity", identity_permutation(n)),
+                (
+                    "reversed",
+                    Permutation::from_order((0..n as u32).rev().collect()),
+                ),
+            ];
+            for (order, pi) in orders {
+                let expected = sequential_mis(&g, &pi);
+                for policy in policies() {
+                    assert_eq!(
+                        prefix_mis(&g, &pi, policy),
+                        expected,
+                        "policy {policy:?} diverged on {name} under the {order} order"
+                    );
+                }
             }
         }
     }
@@ -269,6 +330,89 @@ mod tests {
         let expected = sequential_mis(&g, &pi);
         for policy in [PrefixPolicy::Fixed(64), PrefixPolicy::FractionOfInput(0.05)] {
             assert_eq!(prefix_mis(&g, &pi, policy), expected);
+        }
+    }
+
+    #[test]
+    fn prefix_mis_counters_match_the_parent() {
+        // `(rounds, steps, vertex_work, edge_work)` pinned from the earlier
+        // implementation, which knocked out at the end of each prefix:
+        // moving the knock-out into the deciding pass must not move the
+        // paper's work accounting.
+        type Counters = (u64, u64, u64, u64);
+        let pinned: [(&str, &str, [Counters; 5]); 4] = [
+            (
+                "random",
+                "random",
+                [
+                    (2000, 575, 2000, 7528),
+                    (32, 45, 2036, 8096),
+                    (50, 60, 2016, 7780),
+                    (1, 10, 5265, 44858),
+                    (11, 25, 2192, 9976),
+                ],
+            ),
+            (
+                "random",
+                "identity",
+                [
+                    (2000, 527, 2000, 7770),
+                    (32, 46, 2028, 8158),
+                    (50, 63, 2021, 8092),
+                    (1, 8, 4895, 42020),
+                    (11, 22, 2130, 9532),
+                ],
+            ),
+            (
+                "rmat",
+                "random",
+                [
+                    (2048, 517, 2048, 9042),
+                    (32, 44, 2084, 9906),
+                    (50, 61, 2068, 9512),
+                    (1, 9, 5353, 72602),
+                    (12, 23, 2205, 12400),
+                ],
+            ),
+            (
+                "rmat",
+                "identity",
+                [
+                    (2048, 527, 2048, 10502),
+                    (32, 98, 2635, 24092),
+                    (50, 117, 2371, 19174),
+                    (1, 22, 22549, 268752),
+                    (12, 40, 3541, 29788),
+                ],
+            ),
+        ];
+        let policies = [
+            PrefixPolicy::Fixed(1),
+            PrefixPolicy::Fixed(64),
+            PrefixPolicy::default(),
+            PrefixPolicy::FractionOfInput(1.0),
+            PrefixPolicy::Adaptive { c: 4.0 },
+        ];
+        for (graph, order, expected) in pinned {
+            let g = match graph {
+                "random" => random_graph(2_000, 8_000, 9),
+                _ => rmat_graph(11, 16_000, 5),
+            };
+            let n = g.num_vertices();
+            let pi = match order {
+                "random" => random_permutation(n, 10),
+                _ => identity_permutation(n),
+            };
+            let mis = sequential_mis(&g, &pi);
+            for (policy, want) in policies.into_iter().zip(expected) {
+                let (got, s) = prefix_mis_with_stats(&g, &pi, policy);
+                assert_eq!(got, mis, "{policy:?} on {graph} under the {order} order");
+                assert_eq!(
+                    (s.rounds, s.steps, s.vertex_work, s.edge_work),
+                    want,
+                    "{policy:?} on {graph} under the {order} order"
+                );
+            }
         }
     }
 

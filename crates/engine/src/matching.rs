@@ -409,14 +409,12 @@ impl MatchingState {
 
         // Net delta versus batch entry. An edge can be touched twice only
         // via delete + re-insert in one batch; the deletion was pushed
-        // first, so keeping the first occurrence keys the delta off the
-        // true entry state.
-        let mut seen = std::collections::HashSet::new();
+        // first, and the stable sort keeps it first, so keeping the first
+        // occurrence keys the delta off the true entry state.
+        touched.sort_by_key(|&(edge, _, _)| edge.sort_key());
+        touched.dedup_by_key(|&mut (edge, _, _)| edge.sort_key());
         let mut deltas: Vec<MatchDelta> = Vec::new();
         for (edge, slot, before) in touched {
-            if !seen.insert(edge.sort_key()) {
-                continue;
-            }
             let current = graph.edge_slot(edge.u, edge.v);
             let now = current.is_some_and(|s| self.matched[s as usize]);
             if now != before {

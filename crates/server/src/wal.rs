@@ -829,7 +829,9 @@ fn cut_log(dir: &Path, end: LogEnd, round: u64) -> io::Result<()> {
 /// Reads every round record after `after` from the segments in `dir`, in
 /// round order, starting at the segment that holds round `after + 1` and
 /// stopping (without error) at the first torn or corrupt record or round
-/// gap; the first record past `after` must be `after + 1`.
+/// gap; the first record past `after` must be `after + 1`. A corrupt record
+/// at or before `after` is skipped instead when its length prefix lands on
+/// the next round's record: the caller already holds its round.
 /// Returns the records and whether the log was damaged. Public so audits
 /// (and `serve_load --crash-recover`) can replay the raw log independently
 /// of [`recover`].
@@ -859,7 +861,15 @@ fn read_log(dir: &Path, after: u64) -> io::Result<(Vec<WalRecord>, Option<LogEnd
                     decode_round_record(payload).ok().map(|r| (r, next))
                 }
                 RecordRead::Eof => break,
-                RecordRead::Damaged(_) => None,
+                RecordRead::Damaged(_) => {
+                    let round = last_round.map_or(first, |last| last + 1);
+                    if let Some(next) = skip_covered_damage(&data, pos, round, after) {
+                        pos = next;
+                        last_round = Some(round);
+                        continue;
+                    }
+                    None
+                }
             };
             // Rounds are contiguous, and the first one past `after` continues
             // it; a gap (or regression) means the rest is not replayable.
@@ -887,6 +897,31 @@ fn read_log(dir: &Path, after: u64) -> io::Result<(Vec<WalRecord>, Option<LogEnd
         }
     }
     Ok((records, None))
+}
+
+/// Where reading resumes past the damaged record at `pos` of `data`, whose
+/// round is `round`, when the checkpoint at `after` already holds that
+/// round: its length prefix is sane and lands on a record boundary whose
+/// record is round `round + 1`. `None` when the damage ends the replay.
+fn skip_covered_damage(data: &[u8], pos: usize, round: u64, after: u64) -> Option<usize> {
+    if round > after || data.len() - pos < RECORD_HEADER {
+        return None;
+    }
+    let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
+    if len == 0 || len > MAX_RECORD_LEN {
+        return None;
+    }
+    let next = pos + RECORD_HEADER + len as usize;
+    if next > data.len() {
+        return None;
+    }
+    match read_record(data, next) {
+        RecordRead::Ok(payload, _) => decode_round_record(payload)
+            .ok()
+            .filter(|record| record.round == round + 1)
+            .map(|_| next),
+        _ => None,
+    }
 }
 
 /// Rebuilds a server's engine from the data directory: newest valid

@@ -83,9 +83,9 @@ fn run_and_crash(cfg: &WalConfig, n: usize, seed: u64, stream: u64, rounds: u64)
     engine
 }
 
-/// Flips one payload byte of the record that follows the first `skip`
-/// records of the segment starting at round `first`.
-fn corrupt_record(dir: &Path, first: u64, skip: usize) {
+/// XORs `mask` into byte `offset` of the record that follows the first
+/// `skip` records of the segment starting at round `first`.
+fn flip_record_byte(dir: &Path, first: u64, skip: usize, offset: usize, mask: u8) {
     let path = wal::segment_file(dir, first);
     let mut bytes = fs::read(&path).expect("read segment");
     let mut pos = 0usize;
@@ -93,8 +93,20 @@ fn corrupt_record(dir: &Path, first: u64, skip: usize) {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 8 + len;
     }
-    bytes[pos + 8 + 2] ^= 0x10;
+    bytes[pos + offset] ^= mask;
     fs::write(&path, &bytes).expect("write corrupted segment");
+}
+
+/// Flips one payload byte of the record that follows the first `skip`
+/// records of the segment starting at round `first`: its CRC fails.
+fn corrupt_record(dir: &Path, first: u64, skip: usize) {
+    flip_record_byte(dir, first, skip, 8 + 2, 0x10);
+}
+
+/// Flips the top bit of that record's length prefix: the length is beyond
+/// any record's, so no reader can find where the next record starts.
+fn corrupt_length(dir: &Path, first: u64, skip: usize) {
+    flip_record_byte(dir, first, skip, 3, 0x80);
 }
 
 /// The from-scratch referee: a fresh engine that applies the same prefix.
@@ -242,11 +254,12 @@ fn reopen_refuses_to_cut_records_a_checkpoint_covers() {
         retain_all: true,
         ..quick_wal(dir.clone())
     };
-    // Round 5, the first record of `wal-5`, is corrupt, but recovery reaches
-    // round 5 from the round-5 checkpoint: cutting the log at round 5 would
+    // The length prefix of round 5, the first record of `wal-5`, is corrupt,
+    // so no skip can reach round 6 behind it. Recovery still reaches round 5
+    // from the round-5 checkpoint, and cutting the log at round 5 would
     // remove round 5.
     run_and_crash(&cfg, 200, 5, 81, 6);
-    corrupt_record(&dir, 5, 0);
+    corrupt_length(&dir, 5, 0);
     let recovered = wal::recover(&dir).expect("recover").expect("log exists");
     assert_eq!((recovered.round, recovered.tail_truncated), (5, true));
     let log = || {
@@ -275,6 +288,29 @@ fn damage_a_checkpoint_covers_does_not_hide_later_rounds() {
     // segment that holds round 6, and reaches round 6 intact.
     run_and_crash(&cfg, 200, 5, 81, 6);
     corrupt_record(&dir, 1, 2);
+    let recovered = wal::recover(&dir).expect("recover").expect("log exists");
+    assert_eq!((recovered.round, recovered.tail_truncated), (6, false));
+    assert_eq!(
+        recovered.engine.server_snapshot(),
+        replay_prefix(200, 5, 81, 6).server_snapshot()
+    );
+    assert!(Wal::reopen(cfg, &recovered).is_ok());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn covered_damage_in_the_replay_segment_is_skipped() {
+    let dir = scratch("covered_damage_skipped");
+    let cfg = WalConfig {
+        checkpoint_every: 5,
+        retain_all: true,
+        ..quick_wal(dir.clone())
+    };
+    // Round 5, the first record of `wal-5`, fails its CRC, but the round-5
+    // checkpoint holds it and its length prefix still leads to round 6:
+    // recovery skips it and replays round 6.
+    run_and_crash(&cfg, 200, 5, 81, 6);
+    corrupt_record(&dir, 5, 0);
     let recovered = wal::recover(&dir).expect("recover").expect("log exists");
     assert_eq!((recovered.round, recovered.tail_truncated), (6, false));
     assert_eq!(

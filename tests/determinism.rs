@@ -109,6 +109,8 @@ fn work_counters_are_thread_count_independent() {
         let mut stats = vec![
             prefix_matching_with_stats(&edges, &edge_pi, PrefixPolicy::default()).1,
             prefix_matching_with_stats(&edges, &edge_pi, PrefixPolicy::Fixed(64)).1,
+            prefix_mis_with_stats(&graph, &pi, PrefixPolicy::default()).1,
+            prefix_mis_with_stats(&graph, &pi, PrefixPolicy::Fixed(64)).1,
         ];
         for granularity in [2_000, 20_000] {
             let policy = PrefixPolicy::Fixed(granularity);
