@@ -6,18 +6,26 @@
 //! 1. the roots join the MIS;
 //! 2. their undecided neighbors are knocked out (claimed with a CAS so each
 //!    vertex is knocked out exactly once);
-//! 3. the neighbors of the knocked-out vertices are `misCheck`ed — each check
-//!    scans the vertex's remaining parents (earlier neighbors), skipping the
-//!    ones already decided by advancing a per-vertex cursor so that every
-//!    parent edge is crossed at most once over the whole run (the
+//! 3. the later neighbors of the knocked-out vertices are `misCheck`ed. A
+//!    check walks the vertex's adjacency with a per-vertex cursor that skips
+//!    later neighbors and earlier knocked-out ones and stops at the first
+//!    earlier neighbor still undecided. The cursor never moves back, so
+//!    every arc is crossed at most once over the whole run (the
 //!    amortization of Lemma 4.1);
-//! 4. the checks that find no remaining parent produce the next root set
+//! 4. the checks whose cursor reaches the end produce the next root set
 //!    (deduplicated with a per-step stamp, mirroring the paper's use of an
 //!    arbitrary concurrent write to pick a unique responsible neighbor).
 //!
+//! The initial roots are the vertices whose first check reaches the end.
 //! Total work is O(n + m); the number of steps equals the dependence length.
+//!
+//! Each phase is its own parallel terminal, and every write of one phase
+//! happens-before every read of the next (the memory-ordering note of
+//! [`crate::reservations::speculative_for`]), so `Relaxed` atomics suffice.
+//! The knock-out CAS and the stamp swap stay read-modify-writes: within a
+//! phase they make each claim unique.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 
 use greedy_graph::csr::Graph;
 use greedy_prims::permutation::Permutation;
@@ -48,32 +56,31 @@ pub fn rootset_mis_with_stats(graph: &Graph, pi: &Permutation) -> (Vec<u32>, Wor
     );
     let rank = pi.rank();
 
-    // Parents of v = neighbors with an earlier priority. The per-vertex
-    // cursor `ptr` advances past parents already decided, so every parent
-    // edge is inspected O(1) times in total.
-    let parents: Vec<Vec<u32>> = (0..n as u32)
-        .into_par_iter()
-        .map(|v| {
-            graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&w| rank[w as usize] < rank[v as usize])
-                .collect()
-        })
-        .collect();
-
     let state: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(UNDECIDED)).collect();
-    let ptr: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+    let cursor: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     let stamp: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let edge_work = AtomicU64::new(0);
+
+    // misCheck: advances x's cursor past its later neighbors and its
+    // knocked-out earlier ones; x is a root iff the cursor reaches the end.
+    let is_root = |x: u32| {
+        let neighbors = graph.neighbors(x);
+        let rx = rank[x as usize];
+        let mut i = cursor[x as usize].load(Relaxed);
+        while let Some(&w) = neighbors.get(i) {
+            if rank[w as usize] < rx && state[w as usize].load(Relaxed) != OUT {
+                break;
+            }
+            i += 1;
+        }
+        cursor[x as usize].store(i, Relaxed);
+        i == neighbors.len()
+    };
 
     let mut stats = WorkStats::new();
-
-    // Initial roots: vertices with no earlier neighbor at all.
+    let mut checks = n as u64;
     let mut roots: Vec<u32> = (0..n as u32)
         .into_par_iter()
-        .filter(|&v| parents[v as usize].is_empty())
+        .filter(|&v| is_root(v))
         .collect();
     stats.vertex_work += n as u64;
 
@@ -84,7 +91,7 @@ pub fn rootset_mis_with_stats(graph: &Graph, pi: &Permutation) -> (Vec<u32>, Wor
 
         // Phase 1: accept the roots.
         roots.par_iter().for_each(|&r| {
-            state[r as usize].store(IN_MIS, Ordering::SeqCst);
+            state[r as usize].store(IN_MIS, Relaxed);
         });
 
         // Phase 2: knock out their undecided neighbors (each claimed once).
@@ -93,18 +100,15 @@ pub fn rootset_mis_with_stats(graph: &Graph, pi: &Permutation) -> (Vec<u32>, Wor
             .flat_map_iter(|&r| graph.neighbors(r).iter().copied())
             .filter(|&w| {
                 state[w as usize]
-                    .compare_exchange(UNDECIDED, OUT, Ordering::SeqCst, Ordering::SeqCst)
+                    .compare_exchange(UNDECIDED, OUT, Relaxed, Relaxed)
                     .is_ok()
             })
             .collect();
-        edge_work.fetch_add(
-            roots.iter().map(|&r| graph.degree(r) as u64).sum::<u64>(),
-            Ordering::Relaxed,
-        );
+        stats.edge_work += roots.iter().map(|&r| graph.degree(r) as u64).sum::<u64>();
 
-        // Phase 3: the children (later neighbors) of knocked-out vertices are
-        // the only vertices whose root status may have changed; claim each of
-        // them once for this step.
+        // Phase 3: the later neighbors of knocked-out vertices are the only
+        // vertices whose root status may have changed; claim each of them
+        // once for this step.
         let step_id = stats.steps;
         let candidates: Vec<u32> = knocked
             .par_iter()
@@ -116,48 +120,26 @@ pub fn rootset_mis_with_stats(graph: &Graph, pi: &Permutation) -> (Vec<u32>, Wor
                     .filter(move |&x| rank[x as usize] > rank[w as usize])
             })
             .filter(|&x| {
-                state[x as usize].load(Ordering::SeqCst) == UNDECIDED
-                    && stamp[x as usize].swap(step_id, Ordering::SeqCst) != step_id
+                state[x as usize].load(Relaxed) == UNDECIDED
+                    && stamp[x as usize].swap(step_id, Relaxed) != step_id
             })
             .collect();
-        edge_work.fetch_add(
-            knocked.iter().map(|&w| graph.degree(w) as u64).sum::<u64>(),
-            Ordering::Relaxed,
-        );
+        stats.edge_work += knocked.iter().map(|&w| graph.degree(w) as u64).sum::<u64>();
 
-        // Phase 4: misCheck each candidate — advance its parent cursor past
-        // decided parents; it becomes a root iff the cursor reaches the end.
-        let next_roots: Vec<u32> = candidates
+        // Phase 4: misCheck each candidate.
+        roots = candidates
             .par_iter()
             .copied()
-            .filter(|&x| {
-                let plist = &parents[x as usize];
-                let mut i = ptr[x as usize].load(Ordering::SeqCst);
-                let mut scanned = 0u64;
-                while i < plist.len() {
-                    let p = plist[i] as usize;
-                    scanned += 1;
-                    match state[p].load(Ordering::SeqCst) {
-                        OUT => i += 1,
-                        _ => break,
-                    }
-                }
-                ptr[x as usize].store(i, Ordering::SeqCst);
-                edge_work.fetch_add(scanned, Ordering::Relaxed);
-                i == plist.len()
-            })
+            .filter(|&x| is_root(x))
             .collect();
         stats.vertex_work += candidates.len() as u64;
-
-        roots = next_roots;
+        checks += candidates.len() as u64;
     }
-
-    stats.edge_work += edge_work.load(Ordering::Relaxed);
 
     // Every vertex must be decided when the root set drains.
     let mis: Vec<u32> = (0..n as u32)
         .filter(|&v| {
-            let s = state[v as usize].load(Ordering::SeqCst);
+            let s = state[v as usize].load(Relaxed);
             debug_assert_ne!(
                 s, UNDECIDED,
                 "rootset_mis: vertex {v} left undecided — root propagation is broken"
@@ -165,6 +147,11 @@ pub fn rootset_mis_with_stats(graph: &Graph, pi: &Permutation) -> (Vec<u32>, Wor
             s == IN_MIS
         })
         .collect();
+    // A check reads every neighbor its cursor passes, and one more when it
+    // stops short of the end: each MIS vertex passed exactly one check, and
+    // every other check stopped short.
+    let crossed: u64 = cursor.into_iter().map(|c| c.into_inner() as u64).sum();
+    stats.edge_work += crossed + checks - mis.len() as u64;
     (mis, stats)
 }
 
