@@ -55,11 +55,6 @@ impl Coloring {
 /// Uses the prefix-based MIS internally, so each layer is computed in
 /// parallel yet the final coloring is deterministic in `seed`.
 pub fn greedy_coloring(graph: &Graph, seed: u64) -> Coloring {
-    greedy_coloring_with_policy(graph, seed, PrefixPolicy::default())
-}
-
-/// [`greedy_coloring`] with an explicit prefix policy for the per-layer MIS.
-pub fn greedy_coloring_with_policy(graph: &Graph, seed: u64, policy: PrefixPolicy) -> Coloring {
     let n = graph.num_vertices();
     let mut colors = vec![u32::MAX; n];
     // Uncolored vertices, as original ids.
@@ -71,7 +66,7 @@ pub fn greedy_coloring_with_policy(graph: &Graph, seed: u64, policy: PrefixPolic
         // `mapping` translates back.
         let (sub, mapping) = graph.induced_subgraph(&alive);
         let pi = random_permutation(sub.num_vertices(), hash64(seed, color as u64));
-        let layer = prefix_mis(&sub, &pi, policy);
+        let layer = prefix_mis(&sub, &pi, PrefixPolicy::default());
         debug_assert!(!layer.is_empty(), "an MIS of a nonempty graph is nonempty");
         for &sub_v in &layer {
             colors[mapping[sub_v as usize] as usize] = color;
@@ -168,16 +163,6 @@ mod tests {
     fn deterministic_in_seed() {
         let g = random_graph(300, 1_200, 9);
         assert_eq!(greedy_coloring(&g, 1), greedy_coloring(&g, 1));
-    }
-
-    #[test]
-    fn policies_do_not_change_the_coloring() {
-        // Each layer's MIS is schedule-independent, so the whole coloring is
-        // too — regardless of prefix policy.
-        let g = random_graph(300, 1_200, 10);
-        let a = greedy_coloring_with_policy(&g, 5, PrefixPolicy::Fixed(1));
-        let b = greedy_coloring_with_policy(&g, 5, PrefixPolicy::FractionOfInput(1.0));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   concurrently.
 //! * [`vertex_cover`] — the textbook 2-approximate vertex cover obtained from
 //!   a maximal matching.
-//! * [`spanning_forest`] — a greedy spanning forest computed with the same
-//!   prefix-based technique, the direction the paper's conclusion points to
-//!   as future work ("we believe our approach can be applied to sequential
-//!   greedy algorithms for other problems, e.g. spanning forest").
+//! * [`spanning_forest`] — the sequential greedy spanning forest, the problem
+//!   the paper's conclusion names for its technique next ("we believe our
+//!   approach can be applied to sequential greedy algorithms for other
+//!   problems, e.g. spanning forest"); it has no parallel version yet.
 //! * [`union_find`] — the union–find substrate used by the spanning forest.
 
 #![warn(missing_docs)]

@@ -68,15 +68,6 @@ impl TaskSchedule {
 /// Schedules the tasks of a conflict graph into conflict-free batches by
 /// iterated greedy MIS. Deterministic in `seed`.
 pub fn schedule_tasks(conflicts: &Graph, seed: u64) -> TaskSchedule {
-    schedule_tasks_with_policy(conflicts, seed, PrefixPolicy::default())
-}
-
-/// [`schedule_tasks`] with an explicit prefix policy for each MIS layer.
-pub fn schedule_tasks_with_policy(
-    conflicts: &Graph,
-    seed: u64,
-    policy: PrefixPolicy,
-) -> TaskSchedule {
     let n = conflicts.num_vertices();
     let mut scheduled = vec![false; n];
     let mut alive: Vec<u32> = (0..n as u32).collect();
@@ -86,7 +77,7 @@ pub fn schedule_tasks_with_policy(
     while !alive.is_empty() {
         let (sub, mapping) = conflicts.induced_subgraph(&alive);
         let pi = random_permutation(sub.num_vertices(), hash64(seed, layer_idx));
-        let layer = prefix_mis(&sub, &pi, policy);
+        let layer = prefix_mis(&sub, &pi, PrefixPolicy::default());
         let batch: Vec<u32> = layer.iter().map(|&v| mapping[v as usize]).collect();
         for &t in &batch {
             scheduled[t as usize] = true;
@@ -170,13 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_deterministic_and_policy_independent() {
+    fn schedule_is_deterministic() {
         let g = random_graph(200, 800, 6);
         assert_eq!(schedule_tasks(&g, 7), schedule_tasks(&g, 7));
-        assert_eq!(
-            schedule_tasks_with_policy(&g, 7, PrefixPolicy::Fixed(1)),
-            schedule_tasks_with_policy(&g, 7, PrefixPolicy::FractionOfInput(1.0)),
-        );
     }
 
     #[test]

@@ -32,15 +32,6 @@
 //! [`matching::rootset::rootset_matching`], plus the line-graph reduction
 //! [`matching::reduction::matching_via_line_graph`] used as a test oracle.
 //!
-//! ## Deterministic reservations
-//!
-//! [`reservations`] holds the deterministic-reservations driver
-//! ([`reservations::speculative_for::speculative_for`]) that
-//! [`matching::prefix::prefix_matching`] runs on. Each problem has one
-//! Algorithm 3 loop; a fixed-granularity reservations run is that loop at
-//! [`PrefixPolicy::Fixed`](mis::prefix::PrefixPolicy::Fixed). The MIS loop
-//! needs no reservation, because only a vertex writes its own decision.
-//!
 //! ## Analysis
 //!
 //! [`analysis`] measures the quantities the paper's theory bounds: the
@@ -68,7 +59,6 @@ pub mod dag;
 pub mod matching;
 pub mod mis;
 pub mod ordering;
-pub mod reservations;
 pub mod stats;
 
 /// Commonly used items.

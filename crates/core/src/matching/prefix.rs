@@ -1,18 +1,21 @@
 //! The prefix-based parallel greedy maximal matching.
 //!
-//! The edge-side analogue of Algorithm 3, run as the matching instance of
-//! the deterministic-reservations driver
-//! ([`crate::reservations::speculative_for`]). Each round takes the next
-//! prefix of edges in priority order and resolves it with reserve/commit
-//! steps. In **reserve**, an edge with a matched endpoint is out and
-//! finishes; any other edge writes its rank into both endpoints' cells with
-//! a write-with-min. In **commit**, an edge that holds both cells joins the
-//! matching; one that lost a cell frees the cell it holds and retries. The
-//! earliest unfinished edge always holds both cells, and an edge joins
-//! exactly when every earlier adjacent edge is out — the sequential greedy
-//! rule — so the matching is the sequential one for every prefix size and
-//! thread count, and one attempt reads two cells and no adjacency. This is
-//! the implementation benchmarked in Figures 2 and 4 of the paper.
+//! The edge-side analogue of Algorithm 3, resolved with deterministic
+//! reservations, the technique of the paper's companion work ("Internally
+//! deterministic parallel algorithms can be fast", its reference \[2\]); the
+//! MIS loop needs none, because only a vertex writes its own decision.
+//! Each round takes the next prefix of edges in priority order and resolves
+//! it with reserve/commit steps. In **reserve**, an edge with a matched
+//! endpoint is out and finishes; any other edge writes its rank into both
+//! endpoints' cells with a write-with-min. In **commit**, an edge that holds
+//! both cells joins the matching; one that lost a cell frees the cell it
+//! holds and retries. The earliest unfinished edge always holds both cells,
+//! and an edge joins exactly when every earlier adjacent edge is out — the
+//! sequential greedy rule — so the matching is the sequential one for every
+//! prefix size and thread count, and one attempt reads two cells and no
+//! adjacency. The cells use `Relaxed` atomics by the memory-ordering note of
+//! [`crate::mis::prefix`]. This is the implementation benchmarked in Figures
+//! 2 and 4 of the paper.
 //!
 //! The counters of [`prefix_matching_with_stats`], which depend only on the
 //! input, the order and the policy, and at `PrefixPolicy::Fixed(1)` equal
@@ -29,9 +32,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 use greedy_graph::edge_list::{Edge, EdgeList};
 use greedy_prims::permutation::Permutation;
+use rayon::prelude::*;
 
 use crate::mis::prefix::PrefixPolicy;
-use crate::reservations::speculative_for::{speculative_prefixes, ReservationStep};
 use crate::stats::WorkStats;
 
 /// Runs the prefix-based parallel greedy maximal matching. Returns the same
@@ -48,7 +51,7 @@ const FREE: u32 = u32::MAX;
 /// rank cannot mistake either for its reservation.
 const MATCHED: u32 = u32::MAX - 1;
 
-/// The matching's loop body: iterate `i` is the edge of rank `i`. No cell
+/// The reservation state: an edge is named by its rank `i`. No cell
 /// becomes [`MATCHED`] during a reserve phase, and during a commit phase
 /// only the rank a cell holds writes it while every other edge compares it
 /// with its own rank; so no decision depends on the schedule.
@@ -63,30 +66,33 @@ struct MatchingStep<'a> {
 }
 
 impl MatchingStep<'_> {
-    fn endpoints(&self, i: usize) -> (&AtomicU32, &AtomicU32) {
-        let e = self.edges[self.order[i] as usize];
+    fn endpoints(&self, i: u32) -> (&AtomicU32, &AtomicU32) {
+        let e = self.edges[self.order[i as usize] as usize];
         (&self.cells[e.u as usize], &self.cells[e.v as usize])
     }
-}
 
-impl ReservationStep for MatchingStep<'_> {
-    fn reserve(&self, i: usize) -> bool {
+    /// Reserves both endpoints of edge `i`. Returns `true` if the edge is
+    /// finished: an endpoint is already matched, so it is out.
+    fn reserve(&self, i: u32) -> bool {
         let (u, v) = self.endpoints(i);
         if u.load(Relaxed) == MATCHED || v.load(Relaxed) == MATCHED {
-            return false;
+            return true;
         }
-        u.fetch_min(i as u32, Relaxed);
-        v.fetch_min(i as u32, Relaxed);
-        true
+        u.fetch_min(i, Relaxed);
+        v.fetch_min(i, Relaxed);
+        false
     }
 
-    fn commit(&self, i: usize) -> bool {
+    /// Commits edge `i` if it holds both cells, and frees a cell it holds
+    /// otherwise. Returns `true` if the edge is finished (it joined the
+    /// matching); `false` means retry in the next step.
+    fn commit(&self, i: u32) -> bool {
         let (u, v) = self.endpoints(i);
-        let (holds_u, holds_v) = (u.load(Relaxed) == i as u32, v.load(Relaxed) == i as u32);
+        let (holds_u, holds_v) = (u.load(Relaxed) == i, v.load(Relaxed) == i);
         if holds_u && holds_v {
             u.store(MATCHED, Relaxed);
             v.store(MATCHED, Relaxed);
-            let e = self.order[i] as usize;
+            let e = self.order[i as usize] as usize;
             self.in_matching[e / 64].fetch_or(1 << (e % 64), Relaxed);
             return true;
         }
@@ -120,13 +126,6 @@ pub fn prefix_matching_with_stats(
         m
     );
     assert!(m < MATCHED as usize, "prefix_matching: too many edges");
-    // Only the adaptive policy reads the maximum number of edges adjacent to
-    // one edge (bounded by twice the maximum vertex degree); skip that O(m)
-    // pass otherwise.
-    let max_edge_degree = match policy {
-        PrefixPolicy::Adaptive { .. } => 2 * edges.max_degree() as usize,
-        _ => 0,
-    };
     let step = MatchingStep {
         edges: edges.edges(),
         order: pi.order(),
@@ -135,7 +134,33 @@ pub fn prefix_matching_with_stats(
             .collect(),
         in_matching: (0..m.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
     };
-    let mut stats = speculative_prefixes(&step, m, policy, max_edge_degree);
+    let mut stats = WorkStats::new();
+    // The unfinished edges of the current prefix, as (rank, finished) pairs
+    // in priority order. One buffer serves every step of every prefix.
+    let mut pending: Vec<(u32, bool)> = Vec::new();
+    let k = policy.prefix_size(m);
+    for start in (0..m).step_by(k) {
+        stats.rounds += 1;
+        pending.extend((start..m.min(start + k)).map(|i| (i as u32, false)));
+        while !pending.is_empty() {
+            stats.steps += 1;
+            stats.vertex_work += pending.len() as u64;
+            pending
+                .par_iter_mut()
+                .for_each(|(i, finished)| *finished = step.reserve(*i));
+            pending.par_iter_mut().for_each(|(i, finished)| {
+                if !*finished {
+                    *finished = step.commit(*i);
+                }
+            });
+            let before = pending.len();
+            pending.retain(|&(_, finished)| !finished);
+            assert!(
+                pending.len() < before,
+                "prefix_matching: no progress in a step"
+            );
+        }
+    }
     stats.edge_work = 2 * stats.vertex_work;
 
     let mut matching = Vec::new();
@@ -169,8 +194,6 @@ mod tests {
             PrefixPolicy::Fixed(500),
             PrefixPolicy::FractionOfInput(0.01),
             PrefixPolicy::FractionOfInput(1.0),
-            PrefixPolicy::FractionOfRemaining(0.3),
-            PrefixPolicy::Adaptive { c: 4.0 },
             PrefixPolicy::default(),
         ]
     }
@@ -225,6 +248,84 @@ mod tests {
             PrefixPolicy::FractionOfInput(0.05),
         ] {
             assert_eq!(prefix_matching(&el, &pi, policy), expected);
+        }
+    }
+
+    #[test]
+    fn prefix_matching_counters_match_the_parent() {
+        // `(rounds, steps, vertex_work, edge_work)` pinned from the earlier
+        // implementation, which ran on a generic reservations driver: giving
+        // the matching its own reserve/commit loop must not move the paper's
+        // work accounting.
+        type Counters = (u64, u64, u64, u64);
+        let pinned: [(&str, &str, [Counters; 4]); 4] = [
+            (
+                "random",
+                "random",
+                [
+                    (8000, 8000, 8000, 16000),
+                    (125, 134, 8019, 16038),
+                    (50, 64, 8081, 16162),
+                    (1, 6, 17690, 35380),
+                ],
+            ),
+            (
+                "random",
+                "identity",
+                [
+                    (8000, 8000, 8000, 16000),
+                    (125, 262, 11366, 22732),
+                    (50, 120, 11646, 23292),
+                    (1, 12, 35626, 71252),
+                ],
+            ),
+            (
+                "rmat",
+                "random",
+                [
+                    (13335, 13335, 13335, 26670),
+                    (209, 225, 13363, 26726),
+                    (50, 70, 13473, 26946),
+                    (1, 7, 30022, 60044),
+                ],
+            ),
+            (
+                "rmat",
+                "identity",
+                [
+                    (13335, 13335, 13335, 26670),
+                    (209, 511, 21125, 42250),
+                    (50, 233, 31022, 62044),
+                    (1, 97, 608366, 1216732),
+                ],
+            ),
+        ];
+        let policies = [
+            PrefixPolicy::Fixed(1),
+            PrefixPolicy::Fixed(64),
+            PrefixPolicy::default(),
+            PrefixPolicy::FractionOfInput(1.0),
+        ];
+        for (graph, order, expected) in pinned {
+            let el = match graph {
+                "random" => random_edge_list(2_000, 8_000, 9),
+                _ => rmat_edge_list(11, 16_000, RmatParams::default(), 5),
+            };
+            let m = el.num_edges();
+            let pi = match order {
+                "random" => random_edge_permutation(m, 10),
+                _ => identity_permutation(m),
+            };
+            let mm = sequential_matching(&el, &pi);
+            for (policy, want) in policies.into_iter().zip(expected) {
+                let (got, s) = prefix_matching_with_stats(&el, &pi, policy);
+                assert_eq!(got, mm, "{policy:?} on {graph} under the {order} order");
+                assert_eq!(
+                    (s.rounds, s.steps, s.vertex_work, s.edge_work),
+                    want,
+                    "{policy:?} on {graph} under the {order} order"
+                );
+            }
         }
     }
 

@@ -43,10 +43,20 @@
 //! concurrent decision that reads such a byte before or after the store
 //! decides the same: the MIS and every counter are the same for every
 //! schedule and thread count. The only read that tells a knocked-out byte
-//! from an Undecided one is the build of its own prefix's active list. That
-//! build runs after the pass's parallel terminal has returned, and every
-//! write of the pass happens-before it (the memory-ordering note of
-//! [`crate::reservations::speculative_for`]), so `Relaxed` atomics suffice.
+//! from an Undecided one is the build of its own prefix's active list, which
+//! runs after the pass (see the memory-ordering note below).
+//!
+//! # Memory ordering
+//!
+//! Each pass is one parallel terminal of the rayon shim, and a terminal
+//! returns only after every helper thread has left its job: a helper
+//! records its exit under the pool's `state` mutex, and the caller checks
+//! for it under the same mutex (`Pool::retire` in the shim). Every write of
+//! one pass therefore happens-before every read after it, in the caller or
+//! in the next pass, so the solvers' shared state may use `Relaxed`
+//! atomics: within a pass it needs only each cell's own modification
+//! order. [`crate::matching::prefix`] and [`crate::mis::rootset`] rely on
+//! the same rule.
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
@@ -56,7 +66,7 @@ use rayon::prelude::*;
 
 use crate::stats::WorkStats;
 
-/// How the prefix size is chosen each round.
+/// How long the prefixes of a solve are.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrefixPolicy {
     /// A fixed number of positions per round (the knob swept in Figures 1/2;
@@ -64,34 +74,18 @@ pub enum PrefixPolicy {
     Fixed(usize),
     /// A fixed fraction of the *input* size per round.
     FractionOfInput(f64),
-    /// A fixed fraction of the *remaining* vertices per round (the δ of
-    /// Algorithm 3 in its literal form).
-    FractionOfRemaining(f64),
-    /// The analysis schedule of Corollary 3.2: in super-round `i` use a
-    /// prefix of `c · 2^i · ln(n) / Δ` vertices, doubling as the maximum
-    /// degree halves. `c` is the constant multiplier.
-    Adaptive {
-        /// Multiplier on the `2^i · ln(n)/Δ` schedule.
-        c: f64,
-    },
 }
 
 impl PrefixPolicy {
-    /// The prefix size to use when `remaining` vertices are left, given the
-    /// original input size `n` and the a-priori maximum degree `max_degree`.
-    pub fn prefix_size(&self, n: usize, remaining: usize, max_degree: usize, round: u64) -> usize {
-        let raw = match *self {
+    /// The prefix length for an input of `n` items, in `1..=n.max(1)`. A
+    /// solve takes every prefix at this length; only its last prefix may be
+    /// shorter.
+    pub fn prefix_size(&self, n: usize) -> usize {
+        let k = match *self {
             PrefixPolicy::Fixed(k) => k,
             PrefixPolicy::FractionOfInput(f) => (f * n as f64).ceil() as usize,
-            PrefixPolicy::FractionOfRemaining(f) => (f * remaining as f64).ceil() as usize,
-            PrefixPolicy::Adaptive { c } => {
-                let delta = max_degree.max(1) as f64;
-                let ln_n = (n.max(2) as f64).ln();
-                let factor = 2f64.powi(round.min(62) as i32);
-                (c * factor * ln_n / delta).ceil() as usize
-            }
         };
-        raw.clamp(1, remaining)
+        k.clamp(1, n.max(1))
     }
 }
 
@@ -137,12 +131,6 @@ pub fn prefix_mis_with_stats(
         pi.len(),
         n
     );
-    // Only the adaptive policy reads the maximum degree; skip that O(n)
-    // pass otherwise.
-    let max_degree = match policy {
-        PrefixPolicy::Adaptive { .. } => graph.max_degree(),
-        _ => 0,
-    };
     let rank = pi.rank();
     let order = pi.order();
 
@@ -151,13 +139,7 @@ pub fn prefix_mis_with_stats(
     // The current prefix's pending vertices, each beside its decision of
     // the current step. One buffer serves every step of every prefix.
     let mut active: Vec<(u32, u8)> = Vec::new();
-    // `start` is the first position in π not yet covered by a prefix.
-    let mut start = 0usize;
-
-    while start < n {
-        let k = policy.prefix_size(n, n - start, max_degree, stats.rounds);
-        let prefix = &order[start..start + k];
-        start += k;
+    for prefix in order.chunks(policy.prefix_size(n)) {
         stats.rounds += 1;
 
         // Earlier prefixes may already have knocked some of the prefix's
@@ -173,7 +155,7 @@ pub fn prefix_mis_with_stats(
         // algorithm (prefix size 1) examines each vertex exactly once, so a
         // vertex already decided when its prefix arrives is charged here and
         // the pending ones are charged per inner step below.
-        stats.vertex_work += (k - active.len()) as u64;
+        stats.vertex_work += (prefix.len() - active.len()) as u64;
 
         // Run the parallel greedy steps (Algorithm 2) inside the prefix. All
         // vertices earlier than the prefix are already decided, so a prefix
@@ -265,8 +247,6 @@ mod tests {
             PrefixPolicy::Fixed(usize::MAX / 2),
             PrefixPolicy::FractionOfInput(0.01),
             PrefixPolicy::FractionOfInput(1.0),
-            PrefixPolicy::FractionOfRemaining(0.25),
-            PrefixPolicy::Adaptive { c: 4.0 },
             PrefixPolicy::default(),
         ]
     }
@@ -340,7 +320,7 @@ mod tests {
         // moving the knock-out into the deciding pass must not move the
         // paper's work accounting.
         type Counters = (u64, u64, u64, u64);
-        let pinned: [(&str, &str, [Counters; 5]); 4] = [
+        let pinned: [(&str, &str, [Counters; 4]); 4] = [
             (
                 "random",
                 "random",
@@ -349,7 +329,6 @@ mod tests {
                     (32, 45, 2036, 8096),
                     (50, 60, 2016, 7780),
                     (1, 10, 5265, 44858),
-                    (11, 25, 2192, 9976),
                 ],
             ),
             (
@@ -360,7 +339,6 @@ mod tests {
                     (32, 46, 2028, 8158),
                     (50, 63, 2021, 8092),
                     (1, 8, 4895, 42020),
-                    (11, 22, 2130, 9532),
                 ],
             ),
             (
@@ -371,7 +349,6 @@ mod tests {
                     (32, 44, 2084, 9906),
                     (50, 61, 2068, 9512),
                     (1, 9, 5353, 72602),
-                    (12, 23, 2205, 12400),
                 ],
             ),
             (
@@ -382,7 +359,6 @@ mod tests {
                     (32, 98, 2635, 24092),
                     (50, 117, 2371, 19174),
                     (1, 22, 22549, 268752),
-                    (12, 40, 3541, 29788),
                 ],
             ),
         ];
@@ -391,7 +367,6 @@ mod tests {
             PrefixPolicy::Fixed(64),
             PrefixPolicy::default(),
             PrefixPolicy::FractionOfInput(1.0),
-            PrefixPolicy::Adaptive { c: 4.0 },
         ];
         for (graph, order, expected) in pinned {
             let g = match graph {
@@ -451,27 +426,15 @@ mod tests {
     }
 
     #[test]
-    fn policy_prefix_size_respects_bounds() {
+    fn prefix_size_is_clamped_to_the_input() {
+        assert_eq!(PrefixPolicy::Fixed(7).prefix_size(100), 7);
+        assert_eq!(PrefixPolicy::Fixed(usize::MAX).prefix_size(100), 100);
+        assert_eq!(PrefixPolicy::Fixed(0).prefix_size(100), 1);
+        assert_eq!(PrefixPolicy::FractionOfInput(0.02).prefix_size(1_001), 21);
+        assert_eq!(PrefixPolicy::FractionOfInput(0.0).prefix_size(100), 1);
         for policy in policies() {
-            for remaining in [1usize, 5, 100, 10_000] {
-                let k = policy.prefix_size(10_000, remaining, 17, 3);
-                assert!(
-                    k >= 1 && k <= remaining,
-                    "policy {policy:?} gave k={k} for remaining={remaining}"
-                );
-            }
+            assert_eq!(policy.prefix_size(0), 1, "{policy:?}");
         }
-    }
-
-    #[test]
-    fn adaptive_policy_grows_with_round() {
-        let p = PrefixPolicy::Adaptive { c: 1.0 };
-        let a = p.prefix_size(1_000_000, 1_000_000, 1_000, 0);
-        let b = p.prefix_size(1_000_000, 1_000_000, 1_000, 12);
-        assert!(
-            b > a,
-            "adaptive prefix should double each super-round ({a} vs {b})"
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Each phase is its own parallel terminal, and every write of one phase
 //! happens-before every read of the next (the memory-ordering note of
-//! [`crate::reservations::speculative_for`]), so `Relaxed` atomics suffice.
+//! [`crate::mis::prefix`]), so `Relaxed` atomics suffice.
 //! The knock-out CAS and the stamp swap stay read-modify-writes: within a
 //! phase they make each claim unique.
 

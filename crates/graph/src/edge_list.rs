@@ -182,11 +182,6 @@ impl EdgeList {
         deg
     }
 
-    /// Maximum degree (0 for an edgeless graph).
-    pub fn max_degree(&self) -> u32 {
-        self.degrees().into_iter().max().unwrap_or(0)
-    }
-
     /// Builds per-vertex incidence lists: for each vertex, the ids of the
     /// edges incident to it, in increasing edge-id order.
     pub fn incidence_lists(&self) -> Vec<Vec<u32>> {
@@ -250,10 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn degrees_and_max_degree() {
+    fn degrees_count_both_endpoints() {
         let el = EdgeList::from_pairs(4, vec![(0, 1), (0, 2), (0, 3), (1, 2)]);
         assert_eq!(el.degrees(), vec![3, 2, 2, 1]);
-        assert_eq!(el.max_degree(), 3);
     }
 
     #[test]

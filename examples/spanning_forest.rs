@@ -1,16 +1,16 @@
-//! Greedy spanning forest with the prefix-based technique — the extension the
-//! paper's conclusion proposes as future work.
+//! Greedy spanning forest — the problem the paper's conclusion names for its
+//! technique next — and the 2-approximate vertex cover from the greedy
+//! maximal matching.
 //!
 //! The sequential greedy algorithm keeps an edge iff it does not close a
-//! cycle among previously kept edges; processing edges in prefix-sized rounds
-//! parallelizes it while returning the identical forest for every prefix
-//! size, just as with MIS and MM.
+//! cycle among previously kept edges. The forest here is that sequential
+//! loop over a union–find; it has no parallel version yet.
 //!
 //! Run with: `cargo run --release --example spanning_forest`
 
 use std::time::Instant;
 
-use greedy_apps::spanning_forest::{sequential_spanning_forest, verify_spanning_forest};
+use greedy_apps::spanning_forest::verify_spanning_forest;
 use greedy_apps::vertex_cover::{approx_vertex_cover, is_vertex_cover};
 use greedy_parallel::prelude::*;
 
@@ -25,23 +25,15 @@ fn main() {
     );
 
     let t = Instant::now();
-    let seq = sequential_spanning_forest(&edges, &pi);
-    let seq_time = t.elapsed();
-
-    let t = Instant::now();
-    let par = spanning_forest(&edges, &pi, PrefixPolicy::FractionOfInput(0.02));
-    let par_time = t.elapsed();
-
-    assert_eq!(
-        seq, par,
-        "prefix-based forest must equal the sequential greedy forest"
+    let forest = spanning_forest(&edges, &pi);
+    let forest_time = t.elapsed();
+    assert!(verify_spanning_forest(&edges, &forest));
+    println!(
+        "sequential greedy spanning forest: {} edges in {forest_time:?}",
+        forest.len()
     );
-    assert!(verify_spanning_forest(&edges, &par));
-    println!("spanning forest: {} edges", par.len());
-    println!("  sequential greedy   : {seq_time:?}");
-    println!("  prefix-based greedy : {par_time:?} (identical edge set)");
 
-    // A second maximal-matching application for good measure: the classic
+    // An application of the greedy maximal matching: the classic
     // 2-approximate vertex cover.
     let t = Instant::now();
     let cover = approx_vertex_cover(&edges, 31);

@@ -11,12 +11,11 @@
 //! * [`greedy_graph`] — graph substrate: CSR graphs, edge lists,
 //!   generators, line graphs.
 //! * [`greedy_core`] — the paper's algorithms: sequential greedy MIS/MM,
-//!   parallel-rounds, prefix-based, linear-work root-set implementations, the
-//!   Luby baseline, verifiers, dependence-length analysis, and the
-//!   deterministic-reservations driver (`speculative_for`) that prefix
-//!   matching runs on.
+//!   parallel-rounds, prefix-based (the matching by deterministic
+//!   reservations), linear-work root-set implementations, the Luby baseline,
+//!   verifiers, dependence-length analysis.
 //! * [`greedy_apps`] — applications: graph coloring, task scheduling,
-//!   vertex cover, spanning forest.
+//!   vertex cover, and the sequential greedy spanning forest.
 //! * [`greedy_engine`] — batch-dynamic maintenance of greedy MIS/matching
 //!   under streaming edge-update batches.
 //! * [`greedy_server`] — batching update/query TCP service over the engine
@@ -71,7 +70,6 @@ pub mod prelude {
     pub use greedy_core::mis::sequential::sequential_mis;
     pub use greedy_core::mis::verify::{verify_mis, verify_same_set};
     pub use greedy_core::ordering::{random_edge_permutation, random_permutation};
-    pub use greedy_core::reservations::speculative_for::{speculative_for, ReservationStep};
     pub use greedy_core::stats::WorkStats;
     pub use greedy_engine::prelude::{
         BatchReport, DynGraph, EdgeBatch, Engine, EngineStats, ServerSnapshot, Snapshot,

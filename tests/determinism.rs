@@ -17,9 +17,15 @@ fn mis_is_thread_count_independent() {
     let graph = random_graph(3_000, 15_000, 1);
     let pi = random_permutation(graph.num_vertices(), 2);
     let reference = in_pool(1, || prefix_mis(&graph, &pi, PrefixPolicy::default()));
-    for threads in [2, 3, 4, 8] {
-        let result = in_pool(threads, || prefix_mis(&graph, &pi, PrefixPolicy::default()));
-        assert_eq!(result, reference, "MIS changed with {threads} threads");
+    assert_eq!(reference, sequential_mis(&graph, &pi));
+    for threads in [1, 2, 3, 4, 8] {
+        for policy in [PrefixPolicy::default(), PrefixPolicy::Fixed(1024)] {
+            let result = in_pool(threads, || prefix_mis(&graph, &pi, policy));
+            assert_eq!(
+                result, reference,
+                "MIS at {policy:?} changed with {threads} threads"
+            );
+        }
         let rooted = in_pool(threads, || rootset_mis(&graph, &pi));
         assert_eq!(
             rooted, reference,
@@ -33,11 +39,15 @@ fn matching_is_thread_count_independent() {
     let edges = random_graph(2_000, 8_000, 3).to_edge_list();
     let pi = random_edge_permutation(edges.num_edges(), 4);
     let reference = in_pool(1, || prefix_matching(&edges, &pi, PrefixPolicy::default()));
-    for threads in [2, 4, 8] {
-        let result = in_pool(threads, || {
-            prefix_matching(&edges, &pi, PrefixPolicy::default())
-        });
-        assert_eq!(result, reference, "matching changed with {threads} threads");
+    assert_eq!(reference, sequential_matching(&edges, &pi));
+    for threads in [1, 2, 4, 8] {
+        for policy in [PrefixPolicy::default(), PrefixPolicy::Fixed(1024)] {
+            let result = in_pool(threads, || prefix_matching(&edges, &pi, policy));
+            assert_eq!(
+                result, reference,
+                "matching at {policy:?} changed with {threads} threads"
+            );
+        }
         let rooted = in_pool(threads, || rootset_matching(&edges, &pi));
         assert_eq!(
             rooted, reference,
@@ -383,13 +393,8 @@ fn delta_stream_folds_identically_at_every_thread_count() {
 fn spanning_forest_is_prefix_and_thread_independent() {
     let edges = random_graph(2_000, 6_000, 13).to_edge_list();
     let pi = random_edge_permutation(edges.num_edges(), 14);
-    let reference = in_pool(1, || spanning_forest(&edges, &pi, PrefixPolicy::Fixed(1)));
+    let reference = in_pool(1, || spanning_forest(&edges, &pi));
     for threads in [2, 4] {
-        for policy in [PrefixPolicy::Fixed(101), PrefixPolicy::FractionOfInput(1.0)] {
-            assert_eq!(
-                in_pool(threads, || spanning_forest(&edges, &pi, policy)),
-                reference
-            );
-        }
+        assert_eq!(in_pool(threads, || spanning_forest(&edges, &pi)), reference);
     }
 }

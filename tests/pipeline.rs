@@ -73,7 +73,7 @@ fn full_application_chain_on_one_input() {
     assert_eq!(cover.len(), 2 * matching.len());
     assert!(greedy_apps::vertex_cover::is_vertex_cover(&edges, &cover));
 
-    let forest = spanning_forest(&edges, &edge_pi, PrefixPolicy::default());
+    let forest = spanning_forest(&edges, &edge_pi);
     assert!(greedy_apps::spanning_forest::verify_spanning_forest(
         &edges, &forest
     ));
