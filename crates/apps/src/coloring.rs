@@ -28,7 +28,7 @@ impl Coloring {
         if self.colors.len() != graph.num_vertices() {
             return false;
         }
-        if self.colors.iter().any(|&c| c >= self.num_colors) && self.num_colors > 0 {
+        if self.colors.iter().any(|&c| c >= self.num_colors) {
             return false;
         }
         graph.vertices().all(|v| {
@@ -178,5 +178,10 @@ mod tests {
             num_colors: 1,
         };
         assert!(!wrong_len.is_proper(&g));
+        let out_of_range = Coloring {
+            colors: vec![5, 5, 5],
+            num_colors: 0,
+        };
+        assert!(!out_of_range.is_proper(&Graph::empty(3)));
     }
 }

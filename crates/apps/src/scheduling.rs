@@ -7,10 +7,9 @@
 //! tasks. Because every batch is the deterministic greedy MIS, the schedule
 //! is reproducible across thread counts.
 
-use greedy_core::mis::prefix::{prefix_mis, PrefixPolicy};
-use greedy_core::ordering::random_permutation;
 use greedy_graph::csr::Graph;
-use greedy_prims::random::hash64;
+
+use crate::coloring::greedy_coloring;
 
 /// A schedule: tasks grouped into conflict-free batches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,27 +65,15 @@ impl TaskSchedule {
 }
 
 /// Schedules the tasks of a conflict graph into conflict-free batches by
-/// iterated greedy MIS. Deterministic in `seed`.
+/// iterated greedy MIS: batch `i` is color class `i` of
+/// [`greedy_coloring`]`(conflicts, seed)`, tasks in ascending order.
+/// Deterministic in `seed`.
 pub fn schedule_tasks(conflicts: &Graph, seed: u64) -> TaskSchedule {
-    let n = conflicts.num_vertices();
-    let mut scheduled = vec![false; n];
-    let mut alive: Vec<u32> = (0..n as u32).collect();
-    let mut batches = Vec::new();
-    let mut layer_idx = 0u64;
-
-    while !alive.is_empty() {
-        let (sub, mapping) = conflicts.induced_subgraph(&alive);
-        let pi = random_permutation(sub.num_vertices(), hash64(seed, layer_idx));
-        let layer = prefix_mis(&sub, &pi, PrefixPolicy::default());
-        let batch: Vec<u32> = layer.iter().map(|&v| mapping[v as usize]).collect();
-        for &t in &batch {
-            scheduled[t as usize] = true;
-        }
-        batches.push(batch);
-        alive.retain(|&v| !scheduled[v as usize]);
-        layer_idx += 1;
+    let coloring = greedy_coloring(conflicts, seed);
+    let mut batches = vec![Vec::new(); coloring.num_colors as usize];
+    for (task, &color) in coloring.colors.iter().enumerate() {
+        batches[color as usize].push(task as u32);
     }
-
     TaskSchedule { batches }
 }
 

@@ -1,33 +1,39 @@
-//! Runs every experiment binary in sequence at the configured scale and
-//! writes each one's CSV to `results/<experiment>_<graph>.csv`.
-//!
-//! This is the one-command regeneration path for EXPERIMENTS.md:
+//! Runs the paper's experiments ([`greedy_bench::experiments`]) in this
+//! process at the configured scale and writes each one's CSV to
+//! `results/<experiment>_<graph>.csv`. Each selected input is generated
+//! once and shared by every experiment that runs on it.
 //!
 //! ```text
 //! cargo run --release -p greedy_bench --bin run_all -- --scale small
+//! cargo run --release -p greedy_bench --bin run_all -- fig1_mis_prefix --graph rmat
 //! ```
+//!
+//! Experiment names on the command line select experiments (all run when
+//! none is named) and `--graph random|rmat` restricts the inputs; an
+//! unknown name, or a selection with nothing to run, exits 2 before any
+//! work. The flags are [`greedy_bench::HarnessConfig`]'s.
 //!
 //! In `--quick` mode it additionally times the two setup-phase hot paths the
 //! sort subsystem owns — random-permutation construction and edge-list → CSR
 //! build — the prefix and sequential matching kernels and the root-set MIS
 //! (`core_*` rows), the engine's construction, batch paths and arena batch
 //! calls (`engine_*` rows) and the rayon shim's per-call fork cost
-//! (`prims_*` rows), and writes them to
-//! `results/BENCH_quick.json`. CI
+//! (`prims_*` rows), and writes them to `results/BENCH_quick.json`. CI
 //! uploads that file as an artifact on every run, giving future PRs a perf
 //! trajectory to compare against. Adding `--compare` diffs the fresh rows
 //! against the trajectory file's pre-run contents (the committed baseline in
-//! CI) and prints a warning — never a failure — for every throughput row
-//! that regressed by more than 25%.
+//! CI) and prints a warning — never a failure — for every timing or rate
+//! row, the median-of-7 kernel rows included, that regressed by more than
+//! 25%.
 
 use std::fs;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
+use greedy_bench::experiments::{select, Runner};
 use greedy_bench::{
     compare_quick_entries, engine_matching_heavy_batch, engine_mixed_batch, merge_quick_entries,
-    read_quick_entries, run_on_threads, secs, time_best_of, HarnessConfig,
+    read_quick_entries, run_on_threads, secs, time_best_of, ExperimentGraph, HarnessConfig,
 };
 use greedy_core::matching::prefix::prefix_matching;
 use greedy_core::matching::sequential::sequential_matching;
@@ -45,42 +51,10 @@ use rayon::prelude::*;
 
 fn main() {
     let cfg = HarnessConfig::from_args();
-    let scale = cfg.scale.name();
-
-    // (binary, graphs to run it on)
-    let experiments: &[(&str, &[&str])] = &[
-        ("fig1_mis_prefix", &["random", "rmat"]),
-        ("fig2_mm_prefix", &["random", "rmat"]),
-        ("fig3_mis_threads", &["random", "rmat"]),
-        ("fig4_mm_threads", &["random", "rmat"]),
-        ("dependence_length", &["random"]),
-        ("ablation_mis_impls", &["random", "rmat"]),
-        ("ablation_grain_size", &["random"]),
-    ];
-
-    // The experiments run as sibling binaries of this one. Check they are
-    // all built before doing any work, so a missing one cannot fail the run
-    // half way, after some rows are already written.
-    let exe_dir = std::env::current_exe()
-        .expect("current_exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    let exe = |bin: &str| exe_dir.join(format!("{bin}{}", std::env::consts::EXE_SUFFIX));
-    let missing: Vec<&str> = experiments
-        .iter()
-        .map(|(bin, _)| *bin)
-        .filter(|bin| !exe(bin).is_file())
-        .collect();
-    if !missing.is_empty() {
-        eprintln!(
-            "run_all: experiment binaries missing from {}: {}\n\
-             build them first with `cargo build --workspace --release`",
-            exe_dir.display(),
-            missing.join(", ")
-        );
-        std::process::exit(1);
-    }
+    let selected = select(&cfg).unwrap_or_else(|e| {
+        eprintln!("run_all: {e}");
+        std::process::exit(2);
+    });
 
     let out_dir = PathBuf::from("results");
     fs::create_dir_all(&out_dir).expect("cannot create results/ directory");
@@ -98,45 +72,29 @@ fn main() {
         }
     }
 
-    for (bin, graphs) in experiments {
-        for graph in *graphs {
-            let out_path = out_dir.join(format!("{bin}_{graph}.csv"));
+    // `select` groups the pairs by graph, so each input is generated at
+    // most once, on first use, and freed before the next one is built.
+    for group in selected.chunk_by(|a, b| a.1 == b.1) {
+        let mut input = None;
+        for &(experiment, kind) in group {
+            let out_path = out_dir.join(format!("{}_{}.csv", experiment.name, kind.name()));
             eprintln!(
-                "== running {bin} --graph {graph} --scale {scale} -> {}",
+                "== {} on {} at {} scale -> {}",
+                experiment.name,
+                kind.name(),
+                cfg.scale.name(),
                 out_path.display()
             );
-            let threads = cfg
-                .threads
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            let output = Command::new(exe(bin))
-                .args([
-                    "--graph",
-                    graph,
-                    "--scale",
-                    scale,
-                    "--seed",
-                    &cfg.seed.to_string(),
-                ])
-                .args([
-                    "--threads",
-                    &threads,
-                    "--reps",
-                    &cfg.reps.to_string(),
-                    "--csv",
-                ])
-                .output()
-                .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-            if !output.status.success() {
-                eprintln!(
-                    "experiment {bin} ({graph}) failed:\n{}",
-                    String::from_utf8_lossy(&output.stderr)
-                );
-                std::process::exit(1);
-            }
-            fs::write(&out_path, &output.stdout)
+            let csv = match experiment.run {
+                Runner::OnInput(run) => run(
+                    &cfg,
+                    input.get_or_insert_with(|| {
+                        ExperimentGraph::generate(kind, cfg.scale, cfg.seed)
+                    }),
+                ),
+                Runner::OwnInputs(run) => run(&cfg),
+            };
+            fs::write(&out_path, csv)
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", out_path.display()));
         }
     }

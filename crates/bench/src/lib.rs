@@ -1,17 +1,19 @@
 //! # greedy-bench
 //!
-//! Shared harness for the experiment binaries that regenerate every figure of
-//! the SPAA 2012 paper (Figures 1–4), plus the dependence-length check and
-//! the ablations.
+//! The experiments that regenerate every figure of the SPAA 2012 paper
+//! (Figures 1–4), the Theorem 3.5 dependence-length check and two ablations
+//! ([`experiments`]), run in one process by the `run_all` binary, and the
+//! per-layer ledger `results/BENCH_quick.json` that `run_all` and
+//! `serve_load` write.
 //!
 //! The harness provides:
 //! * the two paper inputs at configurable scale ([`ExperimentGraph`]): the
 //!   sparse uniform random graph and the rMat graph;
-//! * command-line parsing shared by all binaries ([`HarnessConfig`]);
+//! * `run_all`'s command line ([`HarnessConfig`]);
 //! * timing helpers ([`time_best_of`]) and thread-pool control
 //!   ([`run_on_threads`]);
-//! * CSV emission helpers so each binary prints both a human-readable table
-//!   and machine-readable rows.
+//! * the ledger's merge and compare steps ([`merge_quick_entries`],
+//!   [`compare_quick_entries`]).
 //!
 //! Scales: the paper uses n = 10⁷ / m = 5·10⁷ (random) and n = 2²⁴ /
 //! m = 5·10⁷ (rMat). Both axes of Figures 1 and 2 are normalized by the input
@@ -30,6 +32,8 @@ use greedy_graph::edge_list::EdgeList;
 use greedy_graph::gen::random::random_edge_list;
 use greedy_graph::gen::rmat::{rmat_edge_list, RmatParams};
 use greedy_prims::random::hash64;
+
+pub mod experiments;
 
 /// Which of the paper's two inputs to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,18 +166,20 @@ impl ExperimentGraph {
     }
 }
 
-/// Common command-line options for the experiment binaries.
+/// `run_all`'s command line.
 ///
-/// Recognized flags (all optional):
-/// `--graph random|rmat`, `--scale tiny|small|medium|paper`, `--seed <u64>`,
-/// `--threads <list>` (comma-separated), `--reps <k>`, `--csv` (CSV only),
-/// `--quick` (tiny scale, 1 rep, minimal thread sweep — the smoke-test mode),
-/// `--compare` (diff fresh `BENCH_quick.json` rows against the committed
-/// baseline and warn on large throughput regressions).
+/// Experiment names (see [`experiments::EXPERIMENTS`]) select experiments;
+/// with none, all run. Recognized flags (all optional):
+/// `--graph random|rmat` (run only on that input), `--scale
+/// tiny|small|medium|paper`, `--seed <u64>`, `--threads <list>`
+/// (comma-separated), `--reps <k>`, `--quick` (tiny scale, 1 rep, minimal
+/// thread sweep — the smoke-test mode), `--compare` (diff fresh
+/// `BENCH_quick.json` rows against the committed baseline and warn on large
+/// regressions).
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
-    /// Input graph kind.
-    pub kind: GraphKind,
+    /// The only input to run on, or `None` for every experiment's inputs.
+    pub kind: Option<GraphKind>,
     /// Input scale.
     pub scale: Scale,
     /// Generator / permutation seed.
@@ -182,26 +188,26 @@ pub struct HarnessConfig {
     pub threads: Vec<usize>,
     /// Repetitions per measurement (best time is reported).
     pub reps: usize,
-    /// Suppress the human-readable table and print only CSV.
-    pub csv_only: bool,
+    /// The experiments named on the command line; empty selects all.
+    pub experiments: Vec<String>,
     /// True when `--quick` smoke-test mode was requested; `run_all` uses this
     /// to also emit the `BENCH_quick.json` perf-trajectory file.
     pub quick: bool,
     /// True when `--compare` was requested; `run_all` uses this to diff the
     /// freshly written `BENCH_quick.json` rows against the committed baseline
-    /// and warn (never fail) on large throughput regressions.
+    /// and warn (never fail) on large regressions.
     pub compare: bool,
 }
 
 impl Default for HarnessConfig {
     fn default() -> Self {
         Self {
-            kind: GraphKind::Random,
+            kind: None,
             scale: Scale::Small,
             seed: 42,
             threads: default_thread_sweep(),
             reps: 3,
-            csv_only: false,
+            experiments: Vec::new(),
             quick: false,
             compare: false,
         }
@@ -240,8 +246,10 @@ impl HarnessConfig {
             match arg.as_str() {
                 "--graph" => {
                     let v = take("--graph");
-                    cfg.kind = GraphKind::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown graph kind '{v}' (random|rmat)"));
+                    cfg.kind = Some(
+                        GraphKind::parse(&v)
+                            .unwrap_or_else(|| panic!("unknown graph kind '{v}' (random|rmat)")),
+                    );
                 }
                 "--scale" => {
                     let v = take("--scale");
@@ -267,9 +275,8 @@ impl HarnessConfig {
                     let v = take("--reps");
                     cfg.reps = v.parse().unwrap_or_else(|_| panic!("bad reps '{v}'"));
                 }
-                "--csv" => cfg.csv_only = true,
                 // Smoke-test mode: tiny input, one rep, a two-point thread
-                // sweep — every binary finishes in seconds, so CI can run
+                // sweep — every experiment finishes in seconds, so CI can run
                 // `run_all -- --quick` as a cheap end-to-end job.
                 "--quick" => {
                     cfg.scale = Scale::Tiny;
@@ -280,13 +287,18 @@ impl HarnessConfig {
                 }
                 "--compare" => cfg.compare = true,
                 "--help" | "-h" => {
+                    let names: Vec<&str> =
+                        experiments::EXPERIMENTS.iter().map(|e| e.name).collect();
                     eprintln!(
-                        "flags: --graph random|rmat --scale tiny|small|medium|paper --seed N \
-                         --threads 1,2,4 --reps K --csv --quick --compare"
+                        "usage: run_all [EXPERIMENT ...] --graph random|rmat \
+                         --scale tiny|small|medium|paper --seed N --threads 1,2,4 --reps K \
+                         --quick --compare\nexperiments: {}",
+                        names.join(" ")
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag '{other}' (try --help)"),
+                other if other.starts_with('-') => panic!("unknown flag '{other}' (try --help)"),
+                name => cfg.experiments.push(name.to_string()),
             }
         }
         assert!(cfg.reps >= 1, "--reps must be at least 1");
@@ -393,12 +405,6 @@ pub fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// Prints a CSV header and returns a closure-friendly helper for emitting
-/// rows; kept trivial so binaries stay dependency-free beyond this crate.
-pub fn print_csv_header(columns: &[&str]) {
-    println!("{}", columns.join(","));
-}
-
 /// Merges `rows` (pre-rendered one-line JSON entry objects) into the
 /// `results/BENCH_quick.json` perf-trajectory file, *replacing* any existing
 /// entries whose `"name"` starts with one of `owned_prefixes` and preserving
@@ -490,12 +496,13 @@ fn json_num_field(line: &str, key: &str) -> Option<f64> {
 /// warning line per throughput regression larger than `threshold_pct`.
 ///
 /// Only rows whose metric measures throughput are compared: timing rows
-/// (`"seconds"`, lower is better) and rate rows (`"unit"` ending in `/s`,
-/// higher is better). Latency percentiles and counts are skipped — on a
-/// shared CI box they are too noisy to diff meaningfully. Rows present on
-/// only one side are skipped too, so renaming or adding entries never
-/// produces a spurious warning. The caller decides what to do with the
-/// warnings; nothing here exits or fails.
+/// (`"seconds"`, or a median of several reps carrying `"reps"`; lower is
+/// better) and rate rows (`"unit"` ending in `/s`, higher is better).
+/// Latency percentiles and counts are skipped — on a shared CI box they are
+/// too noisy to diff meaningfully. Rows present on only one side are
+/// skipped too, so renaming or adding entries never produces a spurious
+/// warning. The caller decides what to do with the warnings; nothing here
+/// exits or fails.
 pub fn compare_quick_entries(
     baseline: &[String],
     fresh: &[String],
@@ -514,7 +521,9 @@ pub fn compare_quick_entries(
             } else if let (Some(value), Some(unit)) =
                 (json_num_field(line, "value"), json_str_field(line, "unit"))
             {
-                if unit.ends_with("/s") {
+                if json_num_field(line, "reps").is_some() {
+                    map.insert((name, threads), (value, false));
+                } else if unit.ends_with("/s") {
                     map.insert((name, threads), (value, true));
                 }
             }
@@ -604,17 +613,17 @@ mod tests {
                 "1,2,4",
                 "--reps",
                 "2",
-                "--csv",
+                "fig3_mis_threads",
             ]
             .into_iter()
             .map(String::from),
         );
-        assert_eq!(cfg.kind, GraphKind::Rmat);
+        assert_eq!(cfg.kind, Some(GraphKind::Rmat));
         assert_eq!(cfg.scale, Scale::Small);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.threads, vec![1, 2, 4]);
         assert_eq!(cfg.reps, 2);
-        assert!(cfg.csv_only);
+        assert_eq!(cfg.experiments, ["fig3_mis_threads"]);
     }
 
     #[test]
@@ -694,6 +703,12 @@ mod tests {
                 "\"value\": 10.000, \"unit\": \"us\"",
             ),
             row("renamed_away", 1, "\"seconds\": 1.000000"),
+            row(
+                "core_prefix_mis",
+                1,
+                "\"value\": 1000.000, \"unit\": \"us\", \"reps\": 7, \"min\": 990.000, \
+                 \"max\": 1010.000",
+            ),
         ];
         let fresh = vec![
             // 50% slower: warns.
@@ -714,9 +729,17 @@ mod tests {
             ),
             // No baseline counterpart: skipped.
             row("brand_new", 1, "\"seconds\": 9.000000"),
+            // A median-of-reps kernel row three times slower: warns.
+            row(
+                "core_prefix_mis",
+                1,
+                "\"value\": 3000.000, \"unit\": \"us\", \"reps\": 7, \"min\": 2990.000, \
+                 \"max\": 3010.000",
+            ),
         ];
         let warnings = compare_quick_entries(&baseline, &fresh, 25.0);
-        assert_eq!(warnings.len(), 2, "got: {warnings:?}");
+        assert_eq!(warnings.len(), 3, "got: {warnings:?}");
+        assert!(warnings.iter().any(|w| w.starts_with("core_prefix_mis")));
         assert!(warnings
             .iter()
             .any(|w| w.starts_with("server_rounds_per_s")));

@@ -62,9 +62,13 @@ fn full_application_chain_on_one_input() {
 
     let schedule = schedule_tasks(&graph, 1);
     assert!(schedule.is_valid(&graph));
-    // Both are iterated MIS with the same layer seeds, so the batch structure
-    // and the color classes coincide.
-    assert_eq!(schedule.num_batches(), coloring.num_colors as usize);
+    // Both are iterated MIS with the same layer seeds, so the batches are
+    // the color classes, each in ascending task order.
+    let mut classes = vec![Vec::new(); coloring.num_colors as usize];
+    for (v, &c) in coloring.colors.iter().enumerate() {
+        classes[c as usize].push(v as u32);
+    }
+    assert_eq!(schedule.batches, classes);
     assert!(schedule.num_batches() <= graph.max_degree() + 1);
 
     let edge_pi = random_edge_permutation(edges.num_edges(), 3);
