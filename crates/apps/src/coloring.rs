@@ -7,7 +7,7 @@
 //! threads — which is exactly the "internally deterministic parallelism" the
 //! paper argues for.
 
-use greedy_core::mis::prefix::{prefix_mis, PrefixPolicy};
+use greedy_core::mis::prefix::{prefix_mis_induced, PrefixPolicy};
 use greedy_core::ordering::random_permutation;
 use greedy_graph::csr::Graph;
 use greedy_prims::random::hash64;
@@ -62,14 +62,13 @@ pub fn greedy_coloring(graph: &Graph, seed: u64) -> Coloring {
     let mut color = 0u32;
 
     while !alive.is_empty() {
-        // Subgraph induced by the uncolored vertices; ids are relabeled, and
-        // `mapping` translates back.
-        let (sub, mapping) = graph.induced_subgraph(&alive);
-        let pi = random_permutation(sub.num_vertices(), hash64(seed, color as u64));
-        let layer = prefix_mis(&sub, &pi, PrefixPolicy::default());
+        // The layer's order ranks the uncolored vertices by their position
+        // in `alive`, and its MIS is that of the subgraph they induce.
+        let pi = random_permutation(alive.len(), hash64(seed, color as u64));
+        let layer = prefix_mis_induced(graph, &alive, &pi, PrefixPolicy::default());
         debug_assert!(!layer.is_empty(), "an MIS of a nonempty graph is nonempty");
-        for &sub_v in &layer {
-            colors[mapping[sub_v as usize] as usize] = color;
+        for &v in &layer {
+            colors[v as usize] = color;
         }
         alive.retain(|&v| colors[v as usize] == u32::MAX);
         color += 1;

@@ -77,21 +77,6 @@ pub fn schedule_tasks(conflicts: &Graph, seed: u64) -> TaskSchedule {
     TaskSchedule { batches }
 }
 
-/// Greedy makespan lower bound for a schedule of unit tasks: the size of the
-/// largest clique we can certify cheaply, namely max_degree + 1 is an upper
-/// bound on colors, while the largest batch count needed is at least the
-/// chromatic number ≥ clique number ≥ (any edge ⇒ 2). Returns
-/// `1` for an edgeless conflict graph, `2` if any conflict exists.
-pub fn trivial_batch_lower_bound(conflicts: &Graph) -> usize {
-    if conflicts.num_vertices() == 0 {
-        0
-    } else if conflicts.num_edges() == 0 {
-        1
-    } else {
-        2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +90,6 @@ mod tests {
         assert_eq!(s.num_batches(), 0);
         assert_eq!(s.num_tasks(), 0);
         assert!(s.is_valid(&Graph::empty(0)));
-        assert_eq!(trivial_batch_lower_bound(&Graph::empty(0)), 0);
     }
 
     #[test]
@@ -115,7 +99,6 @@ mod tests {
         assert_eq!(s.num_batches(), 1);
         assert_eq!(s.num_tasks(), 8);
         assert!(s.is_valid(&g));
-        assert_eq!(trivial_batch_lower_bound(&g), 1);
     }
 
     #[test]
@@ -133,7 +116,6 @@ mod tests {
         let s = schedule_tasks(&g, 3);
         assert_eq!(s.num_batches(), 2);
         assert!(s.is_valid(&g));
-        assert_eq!(trivial_batch_lower_bound(&g), 2);
     }
 
     #[test]

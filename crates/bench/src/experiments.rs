@@ -13,7 +13,6 @@ use greedy_core::matching::verify::verify_maximal_matching;
 use greedy_core::mis::luby::{luby_mis, luby_mis_with_stats};
 use greedy_core::mis::prefix::{prefix_mis, prefix_mis_with_stats, PrefixPolicy};
 use greedy_core::mis::rootset::rootset_mis_with_stats;
-use greedy_core::mis::rounds::rounds_mis_with_stats;
 use greedy_core::mis::sequential::{sequential_mis, sequential_mis_with_stats};
 use greedy_core::mis::verify::{verify_mis, verify_same_set};
 use greedy_core::ordering::{random_edge_permutation, random_permutation};
@@ -309,10 +308,10 @@ fn dependence_length_sweep(cfg: &HarnessConfig) -> String {
 }
 
 /// Ablation A1: the MIS implementations of Section 4 on one input and one
-/// order — the sequential loop (Algorithm 1), synchronous rounds
-/// (Algorithm 2 as written), prefixes of three sizes (Algorithm 3), the
-/// linear-work root set (Lemma 4.2) and Luby's Algorithm A — with time,
-/// work and rounds. All but Luby must return the sequential set.
+/// order — the sequential loop (Algorithm 1), prefixes of three sizes
+/// (Algorithm 3), the linear-work root set (Algorithm 2 as Lemma 4.2 runs
+/// it) and Luby's Algorithm A — with time, work and rounds. All but Luby
+/// must return the sequential set.
 fn ablation_mis_impls(cfg: &HarnessConfig, input: &ExperimentGraph) -> String {
     let graph = &input.graph;
     let pi = random_permutation(input.num_vertices(), cfg.seed.wrapping_add(1));
@@ -336,9 +335,6 @@ fn ablation_mis_impls(cfg: &HarnessConfig, input: &ExperimentGraph) -> String {
         );
     };
     report("sequential", secs(seq_time), seq_stats, &seq_mis);
-
-    let (t, (mis, stats)) = time_best_of(cfg.reps, || rounds_mis_with_stats(graph, &pi));
-    report("rounds_naive", secs(t), stats, &mis);
 
     for (label, policy) in [
         ("prefix_0.2%", PrefixPolicy::FractionOfInput(0.002)),

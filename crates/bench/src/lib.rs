@@ -642,14 +642,27 @@ mod tests {
 
     #[test]
     fn experiment_graph_generates_both_kinds() {
-        let tiny_random = ExperimentGraph {
-            kind: GraphKind::Random,
-            scale: Scale::Small,
-            edges: random_edge_list(1_000, 4_000, 1),
-            graph: Graph::from_edge_list(&random_edge_list(1_000, 4_000, 1)),
-        };
-        assert_eq!(tiny_random.num_vertices(), 1_000);
-        assert_eq!(tiny_random.num_edges(), 4_000);
+        for kind in [GraphKind::Random, GraphKind::Rmat] {
+            let input = ExperimentGraph::generate(kind, Scale::Tiny, 3);
+            assert_eq!((input.kind, input.scale), (kind, Scale::Tiny));
+            match kind {
+                GraphKind::Random => {
+                    let (n, m) = Scale::Tiny.random_size();
+                    assert_eq!((input.num_vertices(), input.num_edges()), (n, m));
+                }
+                GraphKind::Rmat => {
+                    let (log_n, m) = Scale::Tiny.rmat_size();
+                    assert_eq!(input.num_vertices(), 1 << log_n);
+                    assert!(input.num_edges() <= m);
+                }
+            }
+            assert_eq!(input.graph, Graph::from_edge_list(&input.edges));
+            let again = ExperimentGraph::generate(kind, Scale::Tiny, 3);
+            assert_eq!(
+                again.edges, input.edges,
+                "{kind:?} is not deterministic in its seed"
+            );
+        }
     }
 
     #[test]

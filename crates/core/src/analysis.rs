@@ -8,6 +8,8 @@
 //! * the **dependence length** — the number of iterations Algorithm 2 needs,
 //!   i.e. the number of times the root set must be peeled before the DAG is
 //!   empty. Theorem 3.5: O(log² n) w.h.p. for random π on *any* graph.
+//!   It is the step count of the linear-work
+//!   [`crate::mis::rootset::rootset_mis_with_stats`].
 //!
 //! The complete graph separates the two: its longest path is n−1 while its
 //! dependence length is 1 (the single earliest vertex decides everyone).
@@ -16,7 +18,7 @@
 use greedy_graph::csr::Graph;
 use greedy_prims::permutation::Permutation;
 
-use crate::mis::rounds::rounds_mis_with_stats;
+use crate::mis::rootset::rootset_mis_with_stats;
 
 /// The length (number of vertices) of the longest directed path in the
 /// priority DAG of (graph, π).
@@ -55,7 +57,7 @@ pub fn priority_dag_longest_path(graph: &Graph, pi: &Permutation) -> usize {
 /// The dependence length of (graph, π): the number of rounds Algorithm 2
 /// takes, equivalently the number of root-set peels of the priority DAG.
 pub fn dependence_length(graph: &Graph, pi: &Permutation) -> usize {
-    rounds_mis_with_stats(graph, pi).1.rounds as usize
+    rootset_mis_with_stats(graph, pi).1.rounds as usize
 }
 
 #[cfg(test)]

@@ -573,12 +573,19 @@ mod tests {
         // later neighbors, so it counts root-set peels, not the longest
         // path. Identity orders separate the two: the path takes n/2 peels
         // against a longest path of n, the complete graph 1 against n.
+        // `dependence_length` counts the same peels with the root-set loop
+        // of Lemma 4.2, an independent implementation of Algorithm 2.
         let mut cases: Vec<(Graph, Permutation)> = (0..4)
             .map(|seed| {
                 let g = random_graph(2_000, 8_000, seed);
                 let pi = random_permutation(2_000, seed + 40);
                 (g, pi)
             })
+            .chain((0..3).map(|seed| {
+                let g = random_graph(400, 1_600, seed);
+                let pi = random_permutation(400, seed + 7);
+                (g, pi)
+            }))
             .collect();
         let rmat = rmat_graph(11, 16_000, 5);
         let rmat_pi = random_permutation(rmat.num_vertices(), 6);

@@ -3,34 +3,13 @@
 //! All implementations take an [`greedy_graph::edge_list::EdgeList`] (edge
 //! ids are indices into the list) and a priority permutation π over the edge
 //! ids, and return the matching as a sorted `Vec<u32>` of edge ids. The
-//! [`sequential`], [`rounds`], [`prefix`], and [`rootset`] variants all
-//! return the same matching — the one the sequential greedy algorithm
-//! produces for π — while [`reduction`] recomputes it through the
+//! [`sequential`] loop, the [`prefix`] solver and the [`rootset`] form of
+//! Algorithm 4 all return the same matching — the one the sequential greedy
+//! algorithm produces for π — while [`reduction`] recomputes it through the
 //! MIS-on-the-line-graph reduction as a test oracle.
 
 pub mod prefix;
 pub mod reduction;
 pub mod rootset;
-pub mod rounds;
 pub mod sequential;
 pub mod verify;
-
-/// The decision state of an edge during matching construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EdgeState {
-    /// Not yet decided.
-    Undecided,
-    /// Accepted into the matching.
-    In,
-    /// Rejected: an adjacent edge was accepted.
-    Out,
-}
-
-/// Collects the edge ids marked [`EdgeState::In`], sorted ascending.
-pub(crate) fn collect_in_edges(state: &[EdgeState]) -> Vec<u32> {
-    state
-        .iter()
-        .enumerate()
-        .filter_map(|(e, &s)| (s == EdgeState::In).then_some(e as u32))
-        .collect()
-}

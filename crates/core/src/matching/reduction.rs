@@ -33,7 +33,7 @@ pub fn matching_via_line_graph(edges: &EdgeList, pi: &Permutation) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::matching::prefix::prefix_matching;
-    use crate::matching::rounds::rounds_matching;
+    use crate::matching::rootset::rootset_matching;
     use crate::matching::sequential::sequential_matching;
     use crate::mis::prefix::PrefixPolicy;
     use crate::ordering::random_edge_permutation;
@@ -69,7 +69,7 @@ mod tests {
         let el = random_edge_list(120, 400, 9);
         let pi = random_edge_permutation(el.num_edges(), 10);
         let oracle = matching_via_line_graph(&el, &pi);
-        assert_eq!(rounds_matching(&el, &pi), oracle);
+        assert_eq!(rootset_matching(&el, &pi), oracle);
         assert_eq!(prefix_matching(&el, &pi, PrefixPolicy::Fixed(37)), oracle);
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! All implementations take a CSR [`greedy_graph::csr::Graph`] and a priority
 //! permutation π over its vertices, and return the set of MIS vertices as a
-//! sorted `Vec<u32>`. The [`sequential`], [`rounds`], [`prefix`], and
-//! [`rootset`] variants all return the lexicographically-first MIS for π —
-//! the same set regardless of schedule, prefix size, or thread count — while
-//! [`luby`] returns some valid MIS (the comparison baseline).
+//! sorted `Vec<u32>`. The [`sequential`] loop (Algorithm 1), the
+//! [`prefix`] solver (Algorithm 3) and the [`rootset`] form of Algorithm 2
+//! all return the lexicographically-first MIS for π — the same set
+//! regardless of schedule, prefix size, or thread count — while [`luby`]
+//! returns some valid MIS (the comparison baseline).
 
 pub mod luby;
 pub mod prefix;
 pub mod rootset;
-pub mod rounds;
 pub mod sequential;
 pub mod verify;
 

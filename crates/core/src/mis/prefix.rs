@@ -18,7 +18,8 @@
 //!   it when its prefix's active list is built, unless an earlier prefix
 //!   already knocked it out;
 //! * **In** — in the MIS;
-//! * **Out** — some neighbor is in the MIS.
+//! * **Out** — some neighbor is in the MIS, or, in [`prefix_mis_induced`],
+//!   the vertex lies outside the induced subgraph.
 //!
 //! A step decides every pending vertex in one parallel pass over the
 //! active list, reading its neighbors' state bytes:
@@ -131,15 +132,70 @@ pub fn prefix_mis_with_stats(
         pi.len(),
         n
     );
-    let rank = pi.rank();
-    let order = pi.order();
+    let state = (0..n).map(|_| AtomicU8::new(UNDECIDED)).collect();
+    solve(graph, pi.order(), pi.rank(), state, policy.prefix_size(n))
+}
 
-    let mut state: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(UNDECIDED)).collect();
+/// Runs the prefix-based parallel greedy MIS on the subgraph of `graph`
+/// induced by `keep`, where π orders `keep`'s positions: position `i`
+/// stands for vertex `keep[i]`. Returns the MIS as sorted vertex ids of
+/// `graph` — the set [`prefix_mis`] returns on
+/// `graph.induced_subgraph(keep)`, mapped back.
+///
+/// No subgraph is built: the solve walks `graph`'s own adjacency, and every
+/// vertex outside `keep` starts Out, which every decision skips.
+///
+/// # Panics
+/// Panics if π does not cover `keep.len()` positions, or if `keep` lists a
+/// vertex twice or one outside `graph`.
+pub fn prefix_mis_induced(
+    graph: &Graph,
+    keep: &[u32],
+    pi: &Permutation,
+    policy: PrefixPolicy,
+) -> Vec<u32> {
+    let n = graph.num_vertices();
+    assert_eq!(
+        pi.len(),
+        keep.len(),
+        "prefix_mis_induced: permutation covers {} elements but `keep` lists {} vertices",
+        pi.len(),
+        keep.len()
+    );
+    let mut state: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(OUT)).collect();
+    for &v in keep {
+        assert!(
+            (v as usize) < n,
+            "prefix_mis_induced: vertex {v} out of range"
+        );
+        let s = state[v as usize].get_mut();
+        assert!(*s == OUT, "prefix_mis_induced: vertex {v} listed twice");
+        *s = UNDECIDED;
+    }
+    let order: Vec<u32> = pi.order().iter().map(|&i| keep[i as usize]).collect();
+    // Only pending vertices read ranks, and they all lie in `keep`.
+    let mut rank = vec![0u32; n];
+    for (r, &v) in order.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    solve(graph, &order, &rank, state, policy.prefix_size(keep.len())).0
+}
+
+/// The solver loop behind both entry points: decides the vertices of
+/// `order` in prefixes of `prefix_size` positions, from the initial state
+/// bytes `state`. `rank` inverts `order` on every vertex it lists.
+fn solve(
+    graph: &Graph,
+    order: &[u32],
+    rank: &[u32],
+    mut state: Vec<AtomicU8>,
+    prefix_size: usize,
+) -> (Vec<u32>, WorkStats) {
     let mut stats = WorkStats::new();
     // The current prefix's pending vertices, each beside its decision of
     // the current step. One buffer serves every step of every prefix.
     let mut active: Vec<(u32, u8)> = Vec::new();
-    for prefix in order.chunks(policy.prefix_size(n)) {
+    for prefix in order.chunks(prefix_size) {
         stats.rounds += 1;
 
         // Earlier prefixes may already have knocked some of the prefix's
@@ -389,6 +445,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn induced_mis_equals_prefix_mis_on_the_induced_subgraph() {
+        let g = random_graph(600, 3_000, 12);
+        // Random subsets in random order, one of them also sorted, every
+        // vertex in reverse order, and no vertex at all.
+        let mut keeps: Vec<Vec<u32>> = (0..3)
+            .map(|i| random_permutation(600, i + 20).order()[..200 * (i as usize + 1)].to_vec())
+            .collect();
+        let mut sorted = keeps[0].clone();
+        sorted.sort_unstable();
+        keeps.extend([sorted, (0..600).rev().collect(), Vec::new()]);
+        for (i, keep) in keeps.iter().enumerate() {
+            let pi = random_permutation(keep.len(), i as u64 + 30);
+            let (sub, mapping) = g.induced_subgraph(keep);
+            for policy in policies() {
+                let mut expected: Vec<u32> = prefix_mis(&sub, &pi, policy)
+                    .into_iter()
+                    .map(|v| mapping[v as usize])
+                    .collect();
+                expected.sort_unstable();
+                assert_eq!(
+                    prefix_mis_induced(&g, keep, &pi, policy),
+                    expected,
+                    "keep set {i}, {policy:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation covers 3 elements")]
+    fn induced_mis_rejects_a_permutation_of_the_wrong_length() {
+        let policy = PrefixPolicy::default();
+        prefix_mis_induced(&path_graph(4), &[0, 1], &identity_permutation(3), policy);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 4 out of range")]
+    fn induced_mis_rejects_an_out_of_range_vertex() {
+        let policy = PrefixPolicy::default();
+        prefix_mis_induced(&path_graph(4), &[0, 4], &identity_permutation(2), policy);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 1 listed twice")]
+    fn induced_mis_rejects_a_repeated_vertex() {
+        let policy = PrefixPolicy::default();
+        prefix_mis_induced(&path_graph(4), &[1, 2, 1], &identity_permutation(3), policy);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 ///   `vertex_work / input size`.
 /// * `edge_work` counts neighbor inspections (adjacency-list traversals).
 /// * `rounds` counts iterations of the *outer* loop: prefixes processed for
-///   the prefix-based algorithms, synchronous rounds for the rounds/root-set
+///   the prefix-based algorithms, synchronous rounds for the root-set
 ///   algorithms, and `input size` for the sequential algorithms. Figure
 ///   1(b)/2(b) plot `rounds / input size`.
 /// * `steps` counts iterations of the *inner* loop summed over all rounds
-///   (the dependence length contribution of each prefix); for the rounds
+///   (the dependence length contribution of each prefix); for the root-set
 ///   algorithms `steps == rounds`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkStats {

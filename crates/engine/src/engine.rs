@@ -481,7 +481,7 @@ mod tests {
     use super::*;
     use crate::priority::{edge_permutation, vertex_permutation};
     use greedy_core::analysis::dependence_length;
-    use greedy_core::matching::rounds::rounds_matching_with_stats;
+    use greedy_core::matching::rootset::rootset_matching_with_stats;
     use greedy_core::matching::sequential::sequential_matching;
     use greedy_core::mis::sequential::sequential_mis;
     use greedy_core::mis::verify::verify_mis;
@@ -553,7 +553,7 @@ mod tests {
             let edge_pi = edge_permutation(seed, &el);
             assert_eq!(
                 matching.rounds,
-                rounds_matching_with_stats(&el, &edge_pi).1.rounds,
+                rootset_matching_with_stats(&el, &edge_pi).1.rounds,
                 "matching rounds, n = {n}, m = {m}"
             );
             assert_eq!(matching.decided as usize, m, "each edge is decided once");

@@ -57,12 +57,9 @@ fn main() {
             assert_eq!(mm, mm_ref);
             println!("{threads:>2} thread(s), {name:<12} -> identical MIS and MM");
         }
-        let (rooted, rounds_based) = in_pool(threads, || {
-            (rootset_mis(&graph, &pi), rounds_mis(&graph, &pi))
-        });
+        let rooted = in_pool(threads, || rootset_mis(&graph, &pi));
         assert_eq!(rooted, mis_ref);
-        assert_eq!(rounds_based, mis_ref);
-        println!("{threads:>2} thread(s), root-set + naive rounds -> identical MIS");
+        println!("{threads:>2} thread(s), root-set         -> identical MIS");
     }
 
     // Luby's algorithm is a correct MIS but a *different* one: it does not

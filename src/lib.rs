@@ -11,11 +11,11 @@
 //! * [`greedy_graph`] — graph substrate: CSR graphs, edge lists,
 //!   generators, line graphs.
 //! * [`greedy_core`] — the paper's algorithms: sequential greedy MIS/MM,
-//!   parallel-rounds, prefix-based (the matching by deterministic
-//!   reservations), linear-work root-set implementations, the Luby baseline,
-//!   verifiers, dependence-length analysis.
-//! * [`greedy_apps`] — applications: graph coloring, task scheduling,
-//!   vertex cover, and the sequential greedy spanning forest.
+//!   prefix-based (the matching by deterministic reservations) and
+//!   linear-work root-set implementations, the Luby baseline, verifiers,
+//!   dependence-length analysis.
+//! * [`greedy_apps`] — applications: graph coloring, task scheduling and
+//!   vertex cover.
 //! * [`greedy_engine`] — batch-dynamic maintenance of greedy MIS/matching
 //!   under streaming edge-update batches.
 //! * [`greedy_server`] — batching update/query TCP service over the engine
@@ -55,18 +55,15 @@ pub use greedy_server;
 pub mod prelude {
     pub use greedy_apps::coloring::greedy_coloring;
     pub use greedy_apps::scheduling::{schedule_tasks, TaskSchedule};
-    pub use greedy_apps::spanning_forest::spanning_forest;
     pub use greedy_apps::vertex_cover::vertex_cover_from_matching;
     pub use greedy_core::analysis::{dependence_length, priority_dag_longest_path};
     pub use greedy_core::matching::prefix::{prefix_matching, prefix_matching_with_stats};
     pub use greedy_core::matching::rootset::rootset_matching;
-    pub use greedy_core::matching::rounds::rounds_matching;
     pub use greedy_core::matching::sequential::sequential_matching;
     pub use greedy_core::matching::verify::{verify_matching, verify_maximal_matching};
     pub use greedy_core::mis::luby::luby_mis;
     pub use greedy_core::mis::prefix::{prefix_mis, prefix_mis_with_stats, PrefixPolicy};
     pub use greedy_core::mis::rootset::rootset_mis;
-    pub use greedy_core::mis::rounds::rounds_mis;
     pub use greedy_core::mis::sequential::sequential_mis;
     pub use greedy_core::mis::verify::{verify_mis, verify_same_set};
     pub use greedy_core::ordering::{random_edge_permutation, random_permutation};

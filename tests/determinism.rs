@@ -386,13 +386,3 @@ fn delta_stream_folds_identically_at_every_thread_count() {
         );
     }
 }
-
-#[test]
-fn spanning_forest_is_prefix_and_thread_independent() {
-    let edges = random_graph(2_000, 6_000, 13).to_edge_list();
-    let pi = random_edge_permutation(edges.num_edges(), 14);
-    let reference = in_pool(1, || spanning_forest(&edges, &pi));
-    for threads in [2, 4] {
-        assert_eq!(in_pool(threads, || spanning_forest(&edges, &pi)), reference);
-    }
-}

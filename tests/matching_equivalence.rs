@@ -13,7 +13,6 @@ fn check_all_equal(edges: &EdgeList, pi: &Permutation) {
         "sequential result must be a valid maximal matching"
     );
     let implementations: Vec<(&str, Vec<u32>)> = vec![
-        ("rounds", rounds_matching(edges, pi)),
         ("rootset", rootset_matching(edges, pi)),
         (
             "prefix_fixed_1",
@@ -122,7 +121,6 @@ proptest! {
 
         let reference = sequential_matching(&edges, &pi);
         prop_assert!(verify_maximal_matching(&edges, &reference));
-        prop_assert_eq!(&rounds_matching(&edges, &pi), &reference);
         prop_assert_eq!(&rootset_matching(&edges, &pi), &reference);
         prop_assert_eq!(&prefix_matching(&edges, &pi, PrefixPolicy::Fixed(prefix)), &reference);
         prop_assert_eq!(&matching_via_line_graph(&edges, &pi), &reference);

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 
 fn all_parallel_mis(graph: &Graph, pi: &Permutation) -> Vec<(&'static str, Vec<u32>)> {
     vec![
-        ("rounds", rounds_mis(graph, pi)),
         ("rootset", rootset_mis(graph, pi)),
         (
             "prefix_fixed_1",
@@ -143,7 +142,6 @@ proptest! {
 
         let reference = sequential_mis(&graph, &pi);
         prop_assert!(verify_mis(&graph, &reference));
-        prop_assert_eq!(&rounds_mis(&graph, &pi), &reference);
         prop_assert_eq!(&rootset_mis(&graph, &pi), &reference);
         prop_assert_eq!(&prefix_mis(&graph, &pi, PrefixPolicy::Fixed(prefix)), &reference);
         prop_assert_eq!(&prefix_mis(&graph, &pi, PrefixPolicy::FractionOfInput(1.0)), &reference);

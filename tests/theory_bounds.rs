@@ -4,7 +4,7 @@
 //! complete graph separates dependence length from the longest DAG path.
 
 use greedy_core::analysis::{dependence_length, priority_dag_longest_path};
-use greedy_core::mis::rounds::rounds_mis_with_stats;
+use greedy_core::mis::rootset::rootset_mis_with_stats;
 use greedy_parallel::prelude::*;
 
 #[test]
@@ -60,7 +60,7 @@ fn round_trace_accounts_for_every_mis_vertex() {
     // undecided vertex is always a root).
     let graph = rmat_graph(11, 10_000, 5);
     let pi = random_permutation(graph.num_vertices(), 6);
-    let (mis, stats) = rounds_mis_with_stats(&graph, &pi);
+    let (mis, stats) = rootset_mis_with_stats(&graph, &pi);
     assert_eq!(mis, sequential_mis(&graph, &pi));
     let rounds = stats.rounds as usize;
     assert!(
@@ -126,10 +126,10 @@ fn degrees_shrink_after_processing_a_prefix() {
 fn matching_dependence_is_polylog_via_line_graph_bound() {
     // Lemma 5.1 transfers the bound to matching: rounds of Algorithm 4 are
     // O(log² m) w.h.p.
-    use greedy_core::matching::rounds::rounds_matching_with_stats;
+    use greedy_core::matching::rootset::rootset_matching_with_stats;
     let edges = random_graph(4_000, 20_000, 13).to_edge_list();
     let pi = random_edge_permutation(edges.num_edges(), 14);
-    let (_, stats) = rounds_matching_with_stats(&edges, &pi);
+    let (_, stats) = rootset_matching_with_stats(&edges, &pi);
     let log = (edges.num_edges() as f64).log2();
     assert!(
         (stats.rounds as f64) < 3.0 * log * log,
