@@ -7,7 +7,7 @@
 //! threads — which is exactly the "internally deterministic parallelism" the
 //! paper argues for.
 
-use greedy_core::mis::prefix::{prefix_mis_induced, PrefixPolicy};
+use greedy_core::mis::prefix::prefix_mis_induced;
 use greedy_core::ordering::random_permutation;
 use greedy_graph::csr::Graph;
 use greedy_prims::random::hash64;
@@ -65,7 +65,7 @@ pub fn greedy_coloring(graph: &Graph, seed: u64) -> Coloring {
         // The layer's order ranks the uncolored vertices by their position
         // in `alive`, and its MIS is that of the subgraph they induce.
         let pi = random_permutation(alive.len(), hash64(seed, color as u64));
-        let layer = prefix_mis_induced(graph, &alive, &pi, PrefixPolicy::default());
+        let layer = prefix_mis_induced(graph, &alive, &pi);
         debug_assert!(!layer.is_empty(), "an MIS of a nonempty graph is nonempty");
         for &v in &layer {
             colors[v as usize] = color;

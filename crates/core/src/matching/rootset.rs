@@ -249,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn step_count_matches_rounds_algorithm() {
+    fn step_count_matches_line_graph_dependence_length() {
         // Lemma 5.1: the matching's rounds are the dependence length of the
         // line graph under the same order, here counted by the MIS root-set
         // loop over L(G).

@@ -136,10 +136,10 @@ pub fn prefix_mis_with_stats(
     solve(graph, pi.order(), pi.rank(), state, policy.prefix_size(n))
 }
 
-/// Runs the prefix-based parallel greedy MIS on the subgraph of `graph`
-/// induced by `keep`, where π orders `keep`'s positions: position `i`
-/// stands for vertex `keep[i]`. Returns the MIS as sorted vertex ids of
-/// `graph` — the set [`prefix_mis`] returns on
+/// Runs the prefix-based parallel greedy MIS, at the default prefix size,
+/// on the subgraph of `graph` induced by `keep`, where π orders `keep`'s
+/// positions: position `i` stands for vertex `keep[i]`. Returns the MIS as
+/// sorted vertex ids of `graph` — the set [`prefix_mis`] returns on
 /// `graph.induced_subgraph(keep)`, mapped back.
 ///
 /// No subgraph is built: the solve walks `graph`'s own adjacency, and every
@@ -148,12 +148,7 @@ pub fn prefix_mis_with_stats(
 /// # Panics
 /// Panics if π does not cover `keep.len()` positions, or if `keep` lists a
 /// vertex twice or one outside `graph`.
-pub fn prefix_mis_induced(
-    graph: &Graph,
-    keep: &[u32],
-    pi: &Permutation,
-    policy: PrefixPolicy,
-) -> Vec<u32> {
+pub fn prefix_mis_induced(graph: &Graph, keep: &[u32], pi: &Permutation) -> Vec<u32> {
     let n = graph.num_vertices();
     assert_eq!(
         pi.len(),
@@ -178,7 +173,8 @@ pub fn prefix_mis_induced(
     for (r, &v) in order.iter().enumerate() {
         rank[v as usize] = r as u32;
     }
-    solve(graph, &order, &rank, state, policy.prefix_size(keep.len())).0
+    let prefix_size = PrefixPolicy::default().prefix_size(keep.len());
+    solve(graph, &order, &rank, state, prefix_size).0
 }
 
 /// The solver loop behind both entry points: decides the vertices of
@@ -461,40 +457,31 @@ mod tests {
         for (i, keep) in keeps.iter().enumerate() {
             let pi = random_permutation(keep.len(), i as u64 + 30);
             let (sub, mapping) = g.induced_subgraph(keep);
-            for policy in policies() {
-                let mut expected: Vec<u32> = prefix_mis(&sub, &pi, policy)
-                    .into_iter()
-                    .map(|v| mapping[v as usize])
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(
-                    prefix_mis_induced(&g, keep, &pi, policy),
-                    expected,
-                    "keep set {i}, {policy:?}"
-                );
-            }
+            let mut expected: Vec<u32> = prefix_mis(&sub, &pi, PrefixPolicy::default())
+                .into_iter()
+                .map(|v| mapping[v as usize])
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(prefix_mis_induced(&g, keep, &pi), expected, "keep set {i}");
         }
     }
 
     #[test]
     #[should_panic(expected = "permutation covers 3 elements")]
     fn induced_mis_rejects_a_permutation_of_the_wrong_length() {
-        let policy = PrefixPolicy::default();
-        prefix_mis_induced(&path_graph(4), &[0, 1], &identity_permutation(3), policy);
+        prefix_mis_induced(&path_graph(4), &[0, 1], &identity_permutation(3));
     }
 
     #[test]
     #[should_panic(expected = "vertex 4 out of range")]
     fn induced_mis_rejects_an_out_of_range_vertex() {
-        let policy = PrefixPolicy::default();
-        prefix_mis_induced(&path_graph(4), &[0, 4], &identity_permutation(2), policy);
+        prefix_mis_induced(&path_graph(4), &[0, 4], &identity_permutation(2));
     }
 
     #[test]
     #[should_panic(expected = "vertex 1 listed twice")]
     fn induced_mis_rejects_a_repeated_vertex() {
-        let policy = PrefixPolicy::default();
-        prefix_mis_induced(&path_graph(4), &[1, 2, 1], &identity_permutation(3), policy);
+        prefix_mis_induced(&path_graph(4), &[1, 2, 1], &identity_permutation(3));
     }
 
     #[test]
