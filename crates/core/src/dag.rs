@@ -43,9 +43,10 @@
 //! conflict-list rescan, and a flip wakes only the later conflicts whose
 //! decision would actually change against the current state. Implementations
 //! can further override [`ConflictDag::decide`] (with auxiliary state kept
-//! via [`ConflictDag::on_flip`]) and the pending-conflict walk — the
-//! engine's edge-slot matching uses both to make decisions O(1) and
-//! bookkeeping O(pending incident).
+//! via [`ConflictDag::on_flip`]) and the pending-conflict walk (with counts
+//! kept via the enter and retire hooks). The engine's edge-slot matching
+//! uses both: a decision reads two partner entries, and a walk skips every
+//! endpoint with no pending incident edge.
 //!
 //! Every parallel step is deterministic (order-preserving parallel maps, no
 //! data races), so the repaired state is byte-identical across thread counts.
@@ -58,12 +59,12 @@ use rayon::prelude::*;
 /// [`repair_fixed_point`]. Priorities must be a total order that does not
 /// change while a repair is running.
 ///
-/// The priority key is an associated type so that differently-indexed item
-/// spaces keep their natural tie-breaking: vertex-indexed DAGs (MIS) use
-/// `(u64, u32)` — random hash then vertex id — while edge-indexed DAGs (the
-/// engine's matching over stable edge slots) use `(u64, u64)` — random hash
-/// then the packed canonical endpoint key, so the order is a property of the
-/// *edge*, not of the slot its current incarnation happens to occupy.
+/// The priority key is an associated type so that each item space keeps its
+/// natural order: vertex-indexed DAGs (MIS) use the vertex's `u32` rank in a
+/// permutation, while edge-indexed DAGs (the engine's matching over stable
+/// edge slots) use `(u64, u64)` — random hash then the packed canonical
+/// endpoint key, so the order is a property of the *edge*, not of the slot
+/// its current incarnation happens to occupy.
 pub trait ConflictDag: Sync {
     /// The priority key; lexicographically smaller = earlier (decided first).
     type Priority: Ord + Copy + Send + Sync;
@@ -118,11 +119,17 @@ pub trait ConflictDag: Sync {
     /// walk behind the driver's in-degree bookkeeping and its knock-out
     /// step. The default filters
     /// [`ConflictDag::for_each_conflict`] through the flag array; an
-    /// implementation that indexes its pending conflicts (the engine's
-    /// matching keeps per-vertex pending-slot lists) can override it so the
-    /// walk costs O(pending incident) instead of O(degree). Must enumerate
-    /// exactly the pending conflicts, each once — duplicates would corrupt
-    /// the in-degree counters.
+    /// implementation that counts its pending items through the enter and
+    /// retire hooks can override it to skip the parts of the conflict list
+    /// that hold none (the engine's matching counts pending slots per
+    /// vertex). Must enumerate exactly the pending conflicts, each once —
+    /// duplicates would corrupt the in-degree counters.
+    ///
+    /// The driver never walks an item that the hooks count as pending: it
+    /// walks an entering item before [`ConflictDag::on_enter_pending`], and
+    /// every other walked item has already been retired. The knock-out
+    /// collects all its targets before it retires any of them, so no walk
+    /// sees the counts change under it.
     fn for_each_pending_conflict(&self, item: u32, pending_flag: &[bool], f: &mut dyn FnMut(u32)) {
         self.for_each_conflict(item, &mut |w| {
             if pending_flag[w as usize] {
@@ -132,12 +139,14 @@ pub trait ConflictDag: Sync {
     }
 
     /// Hook invoked when `item` joins the pending set, *after* the driver's
-    /// in-degree count walk (so a custom pending index never shows an item
-    /// its own entry walk). Default does nothing.
+    /// in-degree count walk over `item` (so pending counts kept here never
+    /// include the item whose walk reads them). Default does nothing.
     fn on_enter_pending(&mut self, _item: u32) {}
 
     /// Hook invoked when `item` leaves the pending set (decided or knocked
-    /// out, before the release walks of its round). Default does nothing.
+    /// out, before the release walks of its round). A knocked-out item is
+    /// retired only after the knock-out walk that found it has ended.
+    /// Default does nothing.
     fn on_retire_pending(&mut self, _item: u32) {}
 }
 
@@ -369,9 +378,9 @@ pub fn repair_fixed_point_with_scratch<D: ConflictDag>(
             .map(|&v| dag_ref.decide(v, accepted_ref))
             .collect();
 
-        // Retire the ready items: clear their flags and pending-index
-        // entries first (ready items never conflict with one another, but
-        // their walks below share later pending targets).
+        // Retire the ready items: clear their flags and run the retire hook
+        // first (ready items never conflict with one another, but their
+        // walks below share later pending targets).
         for &v in &ready {
             pending_flag[v as usize] = false;
             dag.on_retire_pending(v);

@@ -70,7 +70,7 @@ pub fn rootset_matching_with_stats(edges: &EdgeList, pi: &Permutation) -> (Vec<u
         .into_par_iter()
         .map(|v| arcs.partition_point(|&(k, _)| (k >> 32) < v))
         .collect();
-    let inc: Vec<u32> = arcs.into_par_iter().map(|(_, e)| e).collect();
+    let inc: Vec<u32> = arcs.par_iter().map(|&(_, e)| e).collect();
     let incidence = |v: u32| &inc[inc_offsets[v as usize]..inc_offsets[v as usize + 1]];
     stats.edge_work += 2 * m as u64;
 

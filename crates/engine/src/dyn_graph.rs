@@ -378,13 +378,13 @@ impl DynGraph {
 
     /// Every live edge with its slot, in slot-id order.
     pub fn live_slot_updates(&self) -> Vec<SlotUpdate> {
-        self.slot_key
-            .par_iter()
-            .enumerate()
-            .filter_map(|(s, &key)| {
+        (0..self.slot_key.len() as u32)
+            .into_par_iter()
+            .filter_map(|slot| {
+                let key = self.slot_key[slot as usize];
                 (key != FREE_KEY).then(|| SlotUpdate {
                     edge: key_edge(key),
-                    slot: s as u32,
+                    slot,
                 })
             })
             .collect()
@@ -731,12 +731,10 @@ impl DynGraph {
             add_range[add[0].0 as usize] = at..at + add.len();
             at += add.len();
         }
-        let caps: Vec<usize> = self
-            .segs
-            .par_iter()
-            .zip(add_range.par_iter())
-            .map(|(seg, r)| {
-                let new_len = seg.len() + r.len();
+        let caps: Vec<usize> = (0..n)
+            .into_par_iter()
+            .map(|v| {
+                let new_len = self.segs[v].len() + add_range[v].len();
                 new_len + slack_for(new_len)
             })
             .collect();

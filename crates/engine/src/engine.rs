@@ -1,9 +1,10 @@
 //! The service-facing batch-dynamic engine.
 //!
 //! [`Engine`] owns a [`DynGraph`] plus the greedy MIS and maximal-matching
-//! states for it under fixed hashed priorities, and exposes the three calls a
-//! traffic-serving front-end needs: [`Engine::apply_batch`] (ingest a batch
-//! of edge updates, repair both states, report the deltas),
+//! states for it under fixed random priorities (vertices by their rank in
+//! the order π, edges by a hash of their endpoints), and exposes the three
+//! calls a traffic-serving front-end needs: [`Engine::apply_batch`] (ingest
+//! a batch of edge updates, repair both states, report the deltas),
 //! [`Engine::snapshot`] (a consistent CSR view plus both solution sets), and
 //! [`Engine::stats`] (cumulative work counters for capacity planning).
 //!
@@ -22,7 +23,7 @@ use greedy_graph::edge_list::Edge;
 use crate::dyn_graph::DynGraph;
 use crate::matching::{MatchDelta, MatchingState};
 use crate::metrics::EngineMetrics;
-use crate::mis::{repair_mis, vertex_priorities};
+use crate::mis::repair_mis;
 use crate::priority::{edge_permutation, vertex_permutation};
 use crate::snapshot::{ServerSnapshot, PAGE_VERTICES};
 
@@ -154,8 +155,9 @@ pub struct Snapshot {
 pub struct Engine {
     graph: DynGraph,
     seed: u64,
-    /// Cached `hash64(seed, v)` per vertex.
-    vertex_prio: Vec<u64>,
+    /// `vertex_rank[v]` = position of `v` in [`vertex_permutation`]: the MIS
+    /// priorities.
+    vertex_rank: Vec<u32>,
     /// MIS membership flags (the maintained fixed point).
     in_mis: Vec<bool>,
     /// Matching state (the maintained fixed point).
@@ -208,7 +210,8 @@ impl Engine {
         let dyn_graph = DynGraph::from_graph(graph);
         debug_assert_eq!(dyn_graph.num_slots(), el.num_edges());
 
-        let mis = prefix_mis(graph, &vertex_permutation(n, seed), PrefixPolicy::default());
+        let pi = vertex_permutation(n, seed);
+        let mis = prefix_mis(graph, &pi, PrefixPolicy::default());
         let mut in_mis = vec![false; n];
         for &v in &mis {
             in_mis[v as usize] = true;
@@ -223,7 +226,7 @@ impl Engine {
             scratch: RepairScratch::with_capacity(n.max(dyn_graph.num_slots())),
             graph: dyn_graph,
             seed,
-            vertex_prio: vertex_priorities(n, seed),
+            vertex_rank: pi.rank().to_vec(),
             in_mis,
             matching,
             mis_size: mis.len(),
@@ -278,18 +281,18 @@ impl Engine {
         // `x` only if `x` was out and the earlier `y` in. Everything else
         // keeps its fixed-point decision, and knock-on changes propagate
         // through the round driver's flip wake-ups.
-        let prio = |x: u32| (self.vertex_prio[x as usize], x);
+        let rank = |x: u32| self.vertex_rank[x as usize];
         let mut seeds: Vec<u32> = Vec::new();
         for upd in &deleted {
             for (x, y) in [(upd.edge.u, upd.edge.v), (upd.edge.v, upd.edge.u)] {
-                if !self.in_mis[x as usize] && self.in_mis[y as usize] && prio(y) < prio(x) {
+                if !self.in_mis[x as usize] && self.in_mis[y as usize] && rank(y) < rank(x) {
                     seeds.push(x);
                 }
             }
         }
         for upd in &inserted {
             for (x, y) in [(upd.edge.u, upd.edge.v), (upd.edge.v, upd.edge.u)] {
-                if self.in_mis[x as usize] && self.in_mis[y as usize] && prio(y) < prio(x) {
+                if self.in_mis[x as usize] && self.in_mis[y as usize] && rank(y) < rank(x) {
                     seeds.push(x);
                 }
             }
@@ -298,7 +301,7 @@ impl Engine {
         seeds.dedup();
         let (mis_changed, mis_repair) = repair_mis(
             &self.graph,
-            &self.vertex_prio,
+            &self.vertex_rank,
             &mut self.in_mis,
             &seeds,
             &mut self.scratch,
@@ -350,12 +353,7 @@ impl Engine {
             page_repack_us: t_mis.elapsed().as_micros() as u64,
         };
         if let Some(m) = &mut self.metrics {
-            m.record_batch(
-                &self.graph,
-                self.matching.pending_index_capacity(),
-                &mis_repair,
-                &matching_repair,
-            );
+            m.record_batch(&self.graph, &mis_repair, &matching_repair);
         }
 
         BatchReport {
@@ -529,11 +527,11 @@ mod tests {
         ] {
             let (n, m) = (g.num_vertices(), g.num_edges());
             let dyn_g = DynGraph::from_graph(&g);
-            let prio = vertex_priorities(n, seed);
+            let pi = vertex_permutation(n, seed);
             let mut in_mis = vec![false; n];
             let all: Vec<u32> = (0..n as u32).collect();
-            let (_, mis) = repair_mis(&dyn_g, &prio, &mut in_mis, &all, &mut RepairScratch::new());
-            let pi = vertex_permutation(n, seed);
+            let mut sc = RepairScratch::new();
+            let (_, mis) = repair_mis(&dyn_g, pi.rank(), &mut in_mis, &all, &mut sc);
             assert_eq!(
                 mis.rounds as usize,
                 dependence_length(&g, &pi),

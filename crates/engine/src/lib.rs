@@ -24,11 +24,12 @@
 //!   to/from [`greedy_graph::csr::Graph`]. A free-list allocator gives
 //!   every live edge a **stable dense slot id** that survives unrelated
 //!   batches;
-//! * [`priority`] — the update-stable hashed priorities (per vertex and per
-//!   edge-endpoint-pair) the states are maintained under, plus helpers that
-//!   materialize them as [`greedy_prims::permutation::Permutation`]s for the
-//!   static algorithms: the engine's initial build runs the prefix solvers
-//!   under them, and the tests run the sequential oracles;
+//! * [`priority`] — the orders the states are maintained under: vertices by
+//!   their rank in the hashed vertex permutation π, edges by an
+//!   update-stable hash of their endpoint pair. Both are materialized as
+//!   [`greedy_prims::permutation::Permutation`]s for the static algorithms:
+//!   the engine's initial build runs the prefix solvers under them, and the
+//!   tests run the sequential oracles;
 //! * incremental repair — MIS *and* matching both ride the reusable round
 //!   machinery [`greedy_core::dag::repair_fixed_point`] (the rounds
 //!   algorithm generalized to a dirty frontier) and share one

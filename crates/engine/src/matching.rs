@@ -19,6 +19,11 @@
 //! slots are inert: they sit in no adjacency list, are never seeded, and thus
 //! never enter a repair.
 //!
+//! Two flat per-vertex arrays, kept up to date by the driver's hooks, make
+//! the repair cheap without allocating: the earliest accepted partner, which
+//! turns a decision into two O(1) probes, and the number of pending incident
+//! slots, which lets a pending-conflict walk skip an endpoint with none.
+//!
 //! Per batch, the dirty frontier is: every freshly inserted slot, plus —
 //! for each deleted edge that was *matched* — every surviving slot incident
 //! to its endpoints (a deleted unmatched edge constrained nothing and needs
@@ -61,15 +66,21 @@ struct MatchingDag<'a> {
     /// used). At the fixed point each vertex has at most one accepted
     /// incident edge, so this is exactly the matching's partner array.
     partner: &'a mut [u32],
-    /// Per-vertex list of **pending** incident slots — the pending-conflict
-    /// index behind [`ConflictDag::for_each_pending_conflict`], maintained
-    /// through the enter/retire hooks. Each pending slot appears in both
-    /// endpoints' lists; the lists are empty between repairs (the pending
-    /// set drains to nothing).
-    pending_at: &'a mut [Vec<u32>],
-    /// Running total of the lists' capacities; see
-    /// [`MatchingState::pending_index_capacity`].
-    pending_cap: &'a mut usize,
+    /// Per-vertex number of **pending** incident slots, maintained through
+    /// the enter/retire hooks, so the pending-conflict walk skips an
+    /// endpoint with none. All zero between repairs (the pending set drains
+    /// to nothing).
+    pending_count: &'a mut [u32],
+}
+
+/// True when an endpoint of `e` has an accepted incident edge earlier than
+/// `p`, read off the earliest-accepted `partner` array: the greedy rule's
+/// block test for an edge of priority `p`.
+fn blocked(partner: &[u32], seed: u64, e: Edge, p: (u64, u64)) -> bool {
+    [e.u, e.v].into_iter().any(|x| {
+        let m = partner[x as usize];
+        m != u32::MAX && edge_priority(seed, Edge::new(x, m)) < p
+    })
 }
 
 impl ConflictDag for MatchingDag<'_> {
@@ -103,45 +114,37 @@ impl ConflictDag for MatchingDag<'_> {
     /// at that endpoint, and a strict comparison excludes `item` itself.
     fn decide(&self, item: u32, _accepted: &[bool]) -> bool {
         let e = self.graph.slot_edge(item).expect("decided slot is live");
-        let p = self.prio[item as usize];
-        ![e.u, e.v].into_iter().any(|x| {
-            let m = self.partner[x as usize];
-            m != u32::MAX && edge_priority(self.seed, Edge::new(x, m)) < p
-        })
+        !blocked(self.partner, self.seed, e, self.prio[item as usize])
     }
 
-    /// O(pending incident) pending-conflict walk over the per-vertex index
-    /// instead of the default O(degree) adjacency filter.
-    fn for_each_pending_conflict(&self, item: u32, _pending_flag: &[bool], f: &mut dyn FnMut(u32)) {
+    /// The default flag filter over each endpoint's slots, skipping an
+    /// endpoint with no pending incident slot. The skip is exact because the
+    /// driver never walks an item the counts include (the trait's contract),
+    /// so a zero count means no other pending slot there.
+    fn for_each_pending_conflict(&self, item: u32, pending_flag: &[bool], f: &mut dyn FnMut(u32)) {
         let e = self.graph.slot_edge(item).expect("walked slot is live");
         for x in [e.u, e.v] {
-            for &s in &self.pending_at[x as usize] {
-                if s != item {
+            if self.pending_count[x as usize] == 0 {
+                continue;
+            }
+            for &s in self.graph.neighbor_slots(x) {
+                if s != item && pending_flag[s as usize] {
                     f(s);
                 }
             }
         }
     }
 
-    /// The only place a pending list grows, so it keeps the capacity total;
-    /// retirement's `swap_remove` never shrinks a list.
     fn on_enter_pending(&mut self, item: u32) {
         let e = self.graph.slot_edge(item).expect("pending slot is live");
-        for x in [e.u, e.v] {
-            let list = &mut self.pending_at[x as usize];
-            let before = list.capacity();
-            list.push(item);
-            *self.pending_cap += list.capacity() - before;
-        }
+        self.pending_count[e.u as usize] += 1;
+        self.pending_count[e.v as usize] += 1;
     }
 
     fn on_retire_pending(&mut self, item: u32) {
         let e = self.graph.slot_edge(item).expect("pending slot is live");
-        for x in [e.u, e.v] {
-            let list = &mut self.pending_at[x as usize];
-            let i = list.iter().position(|&s| s == item).expect("indexed");
-            list.swap_remove(i);
-        }
+        self.pending_count[e.u as usize] -= 1;
+        self.pending_count[e.v as usize] -= 1;
     }
 
     /// Keeps the earliest-accepted invariant: a flip *in* is unblocked, so
@@ -180,10 +183,7 @@ impl ConflictDag for MatchingDag<'_> {
 /// The matched-edge state: per-slot membership flags (the fixed point the
 /// round machinery maintains) plus the derived per-vertex partner array the
 /// serving export copies out.
-///
-/// Equality ignores the pending-capacity total, which is bookkeeping about
-/// allocations, not state.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MatchingState {
     /// `matched[s]` — slot `s`'s edge is in the matching. Indexed by slot id;
     /// grows with the slot table, `false` at free slots.
@@ -194,42 +194,11 @@ pub(crate) struct MatchingState {
     prio: Vec<(u64, u64)>,
     /// Matched partner per vertex, `u32::MAX` when unmatched.
     partner: Vec<u32>,
-    /// Per-vertex pending-slot lists for the repair's conflict index; all
-    /// empty between repairs. Kept here so the allocation is reused.
-    pending_at: Vec<Vec<u32>>,
-    /// Sum of `pending_at`'s list capacities, kept as lists grow so the
-    /// gauge costs O(1), not a walk over all n lists.
-    pending_cap: usize,
+    /// Per-vertex pending incident slot counts for the repair's conflict
+    /// walk; all zero between repairs.
+    pending_count: Vec<u32>,
     size: usize,
 }
-
-/// A clone's lists carry their own capacities (`Vec::clone` does not keep
-/// capacity), so the total is recounted.
-impl Clone for MatchingState {
-    fn clone(&self) -> Self {
-        let pending_at = self.pending_at.clone();
-        Self {
-            matched: self.matched.clone(),
-            prio: self.prio.clone(),
-            partner: self.partner.clone(),
-            pending_cap: pending_at.iter().map(Vec::capacity).sum(),
-            pending_at,
-            size: self.size,
-        }
-    }
-}
-
-impl PartialEq for MatchingState {
-    fn eq(&self, other: &Self) -> bool {
-        self.matched == other.matched
-            && self.prio == other.prio
-            && self.partner == other.partner
-            && self.pending_at == other.pending_at
-            && self.size == other.size
-    }
-}
-
-impl Eq for MatchingState {}
 
 impl MatchingState {
     /// An empty matching over `n` vertices.
@@ -260,8 +229,7 @@ impl MatchingState {
             matched,
             prio: edges.par_iter().map(|&e| edge_priority(seed, e)).collect(),
             partner,
-            pending_at: vec![Vec::new(); n],
-            pending_cap: 0,
+            pending_count: vec![0; n],
             size: matched_slots.len(),
         }
     }
@@ -275,14 +243,6 @@ impl MatchingState {
     /// copies this directly.
     pub(crate) fn partners(&self) -> &[u32] {
         &self.partner
-    }
-
-    /// Total capacity retained across the per-vertex pending-slot lists —
-    /// the repair working memory this state keeps allocated between batches
-    /// (the lists drain to *empty* after every repair but keep their
-    /// buffers). Exposed as an engine-internals gauge; O(1).
-    pub(crate) fn pending_index_capacity(&self) -> usize {
-        self.pending_cap
     }
 
     /// True when edge `{u, v}` is currently matched.
@@ -336,12 +296,6 @@ impl MatchingState {
         // keeps the pending set proportional to the edges that can actually
         // flip — the same trick that made the retired sequential heap's
         // blocked-test cheap, applied at seed time.
-        let blocked_at_entry = |partner: &[u32], e: Edge, p: (u64, u64)| {
-            [e.u, e.v].into_iter().any(|x| {
-                let m = partner[x as usize];
-                m != u32::MAX && edge_priority(seed, Edge::new(x, m)) < p
-            })
-        };
 
         // A deleted edge that was matched frees both endpoints; every
         // surviving incident slot with *later* priority that is not blocked
@@ -364,7 +318,7 @@ impl MatchingState {
                 for x in [upd.edge.u, upd.edge.v] {
                     for (&w, &s) in graph.neighbors(x).iter().zip(graph.neighbor_slots(x)) {
                         let p = self.prio[s as usize];
-                        if p > gone && !blocked_at_entry(&self.partner, Edge::new(x, w), p) {
+                        if p > gone && !blocked(&self.partner, seed, Edge::new(x, w), p) {
                             seeds.push(s);
                         }
                     }
@@ -377,7 +331,7 @@ impl MatchingState {
         // the deletion loop above already reset the recycled flag.)
         for upd in inserted {
             debug_assert!(!self.matched[upd.slot as usize]);
-            if !blocked_at_entry(&self.partner, upd.edge, self.prio[upd.slot as usize]) {
+            if !blocked(&self.partner, seed, upd.edge, self.prio[upd.slot as usize]) {
                 seeds.push(upd.slot);
             }
         }
@@ -387,8 +341,7 @@ impl MatchingState {
             seed,
             prio: &self.prio,
             partner: &mut self.partner,
-            pending_at: &mut self.pending_at,
-            pending_cap: &mut self.pending_cap,
+            pending_count: &mut self.pending_count,
         };
         let (changed, stats) =
             repair_fixed_point_with_scratch(&mut dag, &mut self.matched, &seeds, scratch);
@@ -571,30 +524,27 @@ mod tests {
     }
 
     #[test]
-    fn pending_capacity_gauge_equals_a_recount() {
-        let recount =
-            |state: &MatchingState| -> usize { state.pending_at.iter().map(Vec::capacity).sum() };
+    fn pending_counts_drain_to_zero_between_repairs() {
+        // A count left nonzero would make later walks scan for nothing; a
+        // count that underflowed would skip live conflicts.
+        let drained = |state: &MatchingState| state.pending_count.iter().all(|&c| c == 0);
         let mut g = DynGraph::from_graph(&random_graph(400, 1_600, 8));
         let seed = 21;
         let mut sc = scratch();
         let (mut state, _) = seed_all(&g, seed, &mut sc);
-        assert_eq!(state.pending_index_capacity(), recount(&state));
+        assert!(drained(&state));
+        let mut decided = 0;
         for round in 0..20u32 {
             let (a, b) = (round * 7 % 400, (round * 13 + 100) % 400);
             let matched = state.matched_edges();
             let deleted = g.delete_edges(&matched[..matched.len().min(5)]);
             let inserted = g.insert_edges(&[Edge::new(a, b), Edge::new(a, (b + 1) % 400)]);
-            state.repair_batch(&g, seed, &deleted, &inserted, &mut sc);
-            assert_eq!(
-                state.pending_index_capacity(),
-                recount(&state),
-                "round {round}"
-            );
+            let (_, stats) = state.repair_batch(&g, seed, &deleted, &inserted, &mut sc);
+            decided += stats.decided;
+            assert!(drained(&state), "round {round}");
+            assert_eq!(state.clone(), state, "round {round}");
         }
-        assert!(recount(&state) > 0, "the stream never grew a pending list");
-        let clone = state.clone();
-        assert_eq!(clone.pending_index_capacity(), recount(&clone));
-        assert_eq!(clone, state, "equality ignores retained capacity");
+        assert!(decided > 0, "the stream never entered a pending slot");
     }
 
     #[test]

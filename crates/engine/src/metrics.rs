@@ -41,7 +41,6 @@ pub struct EngineMetrics {
     arena_dead: Arc<Gauge>,
     arena_slack: Arc<Gauge>,
     free_slots: Arc<Gauge>,
-    matching_pending_cap: Arc<Gauge>,
     rebuilds_total: Arc<Counter>,
     /// Per-trigger rebuild counters, indexed like [`RebuildTrigger::ALL`].
     /// Text exposition has no labels, so the trigger rides in the name:
@@ -76,7 +75,6 @@ impl EngineMetrics {
             arena_dead: r.gauge("engine_arena_dead"),
             arena_slack: r.gauge("engine_arena_slack"),
             free_slots: r.gauge("engine_free_slots"),
-            matching_pending_cap: r.gauge("engine_matching_pending_index_cap"),
             rebuilds_total: r.counter("engine_rebuilds_total"),
             rebuilds_by: RebuildTrigger::ALL.map(|t| r.counter(&rebuild_counter_name(t))),
             relocations_total: r.counter("engine_relocations_total"),
@@ -103,7 +101,6 @@ impl EngineMetrics {
     pub(crate) fn record_batch(
         &mut self,
         graph: &DynGraph,
-        matching_pending_cap: usize,
         mis: &RepairStats,
         matching: &RepairStats,
     ) {
@@ -115,7 +112,6 @@ impl EngineMetrics {
         self.arena_dead.set(dead);
         self.arena_slack.set(capacity - live - dead);
         self.free_slots.set(graph.free_list_len() as i64);
-        self.matching_pending_cap.set(matching_pending_cap as i64);
 
         let rebuilds = graph.rebuilds();
         self.rebuilds_total.add(rebuilds - self.seen_rebuilds);
@@ -160,7 +156,6 @@ mod tests {
             "engine_arena_dead".to_string(),
             "engine_arena_slack".to_string(),
             "engine_free_slots".to_string(),
-            "engine_matching_pending_index_cap".to_string(),
             "engine_rebuilds_total".to_string(),
             "engine_relocations_total".to_string(),
             "engine_mis_repair_work".to_string(),

@@ -4,7 +4,10 @@
 //! MIS iff none of its earlier-priority neighbors is. This module adapts the
 //! engine's [`DynGraph`] to [`greedy_core::dag::ConflictDag`] and drives
 //! [`greedy_core::dag::repair_fixed_point`] — the paper's round machinery
-//! generalized to start from a dirty frontier — over it.
+//! generalized to start from a dirty frontier — over it. A vertex's priority
+//! is its rank in the engine's vertex order π
+//! ([`vertex_permutation`](crate::priority::vertex_permutation)): the vertex
+//! set never changes, so ranks stay valid across updates.
 //!
 //! Per batch, the dirty frontier is simply the endpoints of every effectively
 //! inserted or deleted edge: a vertex's decision depends only on its
@@ -13,28 +16,25 @@
 //! vertices whenever a decision actually flips.
 
 use greedy_core::dag::{repair_fixed_point_with_scratch, ConflictDag, RepairScratch, RepairStats};
-use rayon::prelude::*;
 
 use crate::dyn_graph::DynGraph;
-use crate::priority::vertex_priority;
 
-/// [`ConflictDag`] view of a dynamic graph under hashed vertex priorities.
+/// [`ConflictDag`] view of a dynamic graph under the vertex order π.
 pub(crate) struct MisDag<'a> {
     graph: &'a DynGraph,
-    /// Cached `hash64(seed, v)` per vertex, so priority queries are a load.
-    prio: &'a [u64],
+    /// `rank[v]` = position of `v` in π; distinct, so no tie-break is needed.
+    rank: &'a [u32],
 }
 
 impl ConflictDag for MisDag<'_> {
-    /// `(hash, vertex id)` — vertex-indexed items tie-break on the id.
-    type Priority = (u64, u32);
+    type Priority = u32;
 
     fn len(&self) -> usize {
         self.graph.num_vertices()
     }
 
-    fn priority(&self, v: u32) -> (u64, u32) {
-        (self.prio[v as usize], v)
+    fn priority(&self, v: u32) -> u32 {
+        self.rank[v as usize]
     }
 
     fn for_each_conflict(&self, v: u32, f: &mut dyn FnMut(u32)) {
@@ -58,14 +58,6 @@ impl ConflictDag for MisDag<'_> {
     }
 }
 
-/// Precomputes the per-vertex priority hashes for `seed`.
-pub(crate) fn vertex_priorities(n: usize, seed: u64) -> Vec<u64> {
-    (0..n as u32)
-        .into_par_iter()
-        .map(|v| vertex_priority(seed, v).0)
-        .collect()
-}
-
 /// Re-decides `seeds` (endpoints of the batch's edge changes) and everything
 /// downstream, mutating `in_mis` to the greedy fixed point on the current
 /// graph. The engine passes its long-lived `scratch` so a tiny batch costs
@@ -73,12 +65,12 @@ pub(crate) fn vertex_priorities(n: usize, seed: u64) -> Vec<u64> {
 /// counters.
 pub(crate) fn repair_mis(
     graph: &DynGraph,
-    prio: &[u64],
+    rank: &[u32],
     in_mis: &mut [bool],
     seeds: &[u32],
     scratch: &mut RepairScratch,
 ) -> (Vec<u32>, RepairStats) {
-    let mut dag = MisDag { graph, prio };
+    let mut dag = MisDag { graph, rank };
     repair_fixed_point_with_scratch(&mut dag, in_mis, seeds, scratch)
 }
 
@@ -101,10 +93,10 @@ mod tests {
 
     /// The repair driver's full-seed run: every vertex re-decided from an
     /// all-`false` state.
-    fn seed_all(graph: &DynGraph, prio: &[u64], scratch: &mut RepairScratch) -> Vec<bool> {
+    fn seed_all(graph: &DynGraph, rank: &[u32], scratch: &mut RepairScratch) -> Vec<bool> {
         let mut in_mis = vec![false; graph.num_vertices()];
         let all: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-        repair_mis(graph, prio, &mut in_mis, &all, scratch);
+        repair_mis(graph, rank, &mut in_mis, &all, scratch);
         in_mis
     }
 
@@ -113,9 +105,8 @@ mod tests {
         for seed in 0..4 {
             let g = random_graph(400, 1_500, seed);
             let dyn_g = DynGraph::from_graph(&g);
-            let prio = vertex_priorities(400, seed + 7);
-            let flags = seed_all(&dyn_g, &prio, &mut RepairScratch::new());
             let pi = vertex_permutation(400, seed + 7);
+            let flags = seed_all(&dyn_g, pi.rank(), &mut RepairScratch::new());
             assert_eq!(mis_of(&flags), sequential_mis(&g, &pi), "seed {seed}");
             assert_eq!(
                 mis_of(&flags),
@@ -129,17 +120,16 @@ mod tests {
     fn single_edge_insert_repairs_to_scratch_result() {
         let g = random_graph(200, 500, 1);
         let mut dyn_g = DynGraph::from_graph(&g);
-        let prio = vertex_priorities(200, 5);
         let pi = vertex_permutation(200, 5);
         let mut scratch = RepairScratch::new();
-        let mut flags = seed_all(&dyn_g, &prio, &mut scratch);
+        let mut flags = seed_all(&dyn_g, pi.rank(), &mut scratch);
         for (u, v) in [(0u32, 150u32), (3, 77), (180, 2)] {
             let added = dyn_g.insert_edges(&[Edge::new(u, v)]);
             if added.is_empty() {
                 continue;
             }
             let before = flags.clone();
-            let (changed, _) = repair_mis(&dyn_g, &prio, &mut flags, &[u, v], &mut scratch);
+            let (changed, _) = repair_mis(&dyn_g, pi.rank(), &mut flags, &[u, v], &mut scratch);
             let expected = sequential_mis(&dyn_g.to_graph(), &pi);
             assert_eq!(mis_of(&flags), expected, "after inserting ({u}, {v})");
             let flipped: Vec<u32> = (0..200u32)

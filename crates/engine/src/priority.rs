@@ -5,22 +5,22 @@
 //! must land on the same state. A dynamic engine additionally needs the
 //! priorities to be **stable across updates** — an edge deleted and
 //! re-inserted must come back with the same priority, and inserting one edge
-//! must not shift any other edge's priority. Index-based permutations (ranks
-//! of `0..m`) do not survive a changing edge set, so the engine draws
-//! priorities from the stateless hash [`hash64`] instead:
+//! must not shift any other edge's priority.
 //!
-//! * vertex `v` gets `(hash64(seed, v), v)` — exactly the key order
-//!   [`par_random_permutation`] sorts by, so the engine's order *is* the
-//!   order `random_permutation(n, seed)` encodes, and a from-scratch oracle
-//!   can be built with the workspace's existing algorithms;
-//! * edge `{u, v}` gets `(hash64(seed ⊕ SALT, key), key)` for the canonical
-//!   packed key `u << 32 | v` — independent of when (or whether) the edge is
-//!   currently present.
+//! * The vertex set never changes, so a vertex's priority is its rank in π,
+//!   the [`vertex_permutation`]. π sorts vertices by `(hash64(seed, v), v)`
+//!   and equals `random_permutation(n, seed)`, so a from-scratch oracle can
+//!   be built with the workspace's existing algorithms. The engine builds π
+//!   once and keeps its ranks.
+//! * The edge set changes, and ranks of `0..m` do not survive that, so edge
+//!   `{u, v}` gets the stateless [`edge_priority`]
+//!   `(hash64(seed ⊕ SALT, key), key)` for the canonical packed key
+//!   `u << 32 | v` — independent of when (or whether) the edge is currently
+//!   present. [`edge_permutation`] materializes that order over a concrete
+//!   canonical [`EdgeList`].
 //!
-//! [`vertex_permutation`] and [`edge_permutation`] materialize those orders
-//! as [`Permutation`]s over a concrete vertex set / edge list.
 //! `Engine::from_graph` builds its initial state with the static prefix
-//! solvers under them, and the equivalence tests run the sequential
+//! solvers under both orders, and the equivalence tests run the sequential
 //! algorithms under them as oracles against the incrementally maintained
 //! state.
 
@@ -30,15 +30,9 @@ use greedy_prims::random::hash64;
 use greedy_prims::sort::sort_by_key_parallel;
 use rayon::prelude::*;
 
-/// Decorrelates the edge-priority stream from the vertex-priority stream
-/// drawn from the same engine seed.
+/// Decorrelates the edge-priority stream from the vertex order drawn from
+/// the same engine seed.
 const EDGE_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The priority key of vertex `v`; lexicographically smaller = earlier.
-#[inline]
-pub fn vertex_priority(seed: u64, v: u32) -> (u64, u32) {
-    (hash64(seed, v as u64), v)
-}
 
 /// The canonical packed id of an edge (endpoints ordered, `u` in the high
 /// half). Stable across updates — it depends only on the endpoints.
@@ -71,38 +65,20 @@ pub fn edge_permutation(seed: u64, edges: &EdgeList) -> Permutation {
         edges.is_canonical(),
         "edge_permutation: edge list must be canonical"
     );
-    let mut keyed: Vec<(u64, u32)> = edges
-        .edges()
-        .par_iter()
-        .enumerate()
-        .map(|(id, &e)| (edge_priority(seed, e).0, id as u32))
+    let mut keyed: Vec<(u64, u32)> = (0..edges.num_edges() as u32)
+        .into_par_iter()
+        .map(|id| (edge_priority(seed, edges.edge(id as usize)).0, id))
         .collect();
     // Stable sort by hash; ids are in canonical (key) order, so hash
     // collisions fall back to key order — the same tie-break as
     // `edge_priority`'s second component.
     sort_by_key_parallel(&mut keyed, |&(h, _)| h);
-    Permutation::from_order(keyed.into_par_iter().map(|(_, id)| id).collect())
+    Permutation::from_order(keyed.par_iter().map(|&(_, id)| id).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vertex_order_matches_random_permutation() {
-        // The engine compares (hash, id) pairs; the permutation sorts by the
-        // same key. Ranks must therefore order vertices identically.
-        let n = 5_000;
-        let pi = vertex_permutation(n, 9);
-        for pair in [(0u32, 1u32), (17, 4_999), (123, 124), (2_500, 0)] {
-            let (a, b) = pair;
-            assert_eq!(
-                vertex_priority(9, a) < vertex_priority(9, b),
-                pi.rank_of(a) < pi.rank_of(b),
-                "vertices {a}, {b}"
-            );
-        }
-    }
 
     #[test]
     fn edge_priority_is_orientation_invariant_and_stable() {

@@ -99,7 +99,7 @@ impl Graph {
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let neighbors: Vec<u32> = arcs.into_par_iter().map(|(_, v)| v).collect();
+        let neighbors: Vec<u32> = arcs.par_iter().map(|&(_, v)| v).collect();
         Self { offsets, neighbors }
     }
 
@@ -126,12 +126,6 @@ impl Graph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.neighbors.len() / 2
-    }
-
-    /// Number of directed arcs (`2 * num_edges()`).
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.neighbors.len()
     }
 
     /// The degree of vertex `v`.
@@ -233,15 +227,17 @@ impl Graph {
             );
             new_id[v as usize] = i as u32;
         }
-        let edges: Vec<Edge> = keep
-            .par_iter()
-            .enumerate()
-            .flat_map_iter(|(i, &v)| {
+        let edges: Vec<Edge> = (0..keep.len() as u32)
+            .into_par_iter()
+            .flat_map_iter(|i| {
                 let new_id = &new_id;
-                self.neighbors(v).iter().copied().filter_map(move |w| {
-                    let nw = new_id[w as usize];
-                    (nw != u32::MAX && (i as u32) < nw).then_some(Edge::new(i as u32, nw))
-                })
+                self.neighbors(keep[i as usize])
+                    .iter()
+                    .copied()
+                    .filter_map(move |w| {
+                        let nw = new_id[w as usize];
+                        (nw != u32::MAX && i < nw).then_some(Edge::new(i, nw))
+                    })
             })
             .collect();
         (Graph::from_edges(keep.len(), &edges), keep.to_vec())

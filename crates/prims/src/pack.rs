@@ -9,7 +9,7 @@
 use rayon::prelude::*;
 
 use crate::scan::exclusive_scan_in_place;
-use crate::util::{blocks, default_num_blocks, SEQUENTIAL_CUTOFF};
+use crate::util::{blocks, default_num_blocks, par_map_blocks, SEQUENTIAL_CUTOFF};
 
 /// Sequential pack: the elements of `input` whose flag is `true`, in order.
 ///
@@ -46,10 +46,9 @@ pub fn par_pack<T: Copy + Send + Sync>(input: &[T], flags: &[bool]) -> Vec<T> {
     let ranges = blocks(n, SEQUENTIAL_CUTOFF / 2, default_num_blocks());
 
     // Count survivors per block.
-    let mut counts: Vec<usize> = ranges
-        .par_iter()
-        .map(|r| flags[r.clone()].iter().filter(|&&b| b).count())
-        .collect();
+    let mut counts: Vec<usize> = par_map_blocks(ranges.clone(), &|r: std::ops::Range<usize>| {
+        flags[r].iter().filter(|&&b| b).count()
+    });
     let total = exclusive_scan_in_place(&mut counts);
 
     // Scatter each block into its slot range of the output.
@@ -62,36 +61,32 @@ pub fn par_pack<T: Copy + Send + Sync>(input: &[T], flags: &[bool]) -> Vec<T> {
     }
     out.resize(total, input[0]);
 
-    // Disjoint output slices per block.
-    let mut out_slices: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
+    // One task per block: its input range and its disjoint output slice.
+    let mut tasks: Vec<(std::ops::Range<usize>, &mut [T])> = Vec::with_capacity(ranges.len());
     {
         let mut rest = out.as_mut_slice();
-        for (i, r) in ranges.iter().enumerate() {
+        for (i, r) in ranges.into_iter().enumerate() {
             let cnt = if i + 1 < counts.len() {
                 counts[i + 1] - counts[i]
             } else {
                 total - counts[i]
             };
-            let _ = r;
             let (head, tail) = rest.split_at_mut(cnt);
-            out_slices.push(head);
+            tasks.push((r, head));
             rest = tail;
         }
     }
 
-    ranges
-        .par_iter()
-        .zip(out_slices.into_par_iter())
-        .for_each(|(r, dst)| {
-            let mut k = 0;
-            for i in r.clone() {
-                if flags[i] {
-                    dst[k] = input[i];
-                    k += 1;
-                }
+    par_map_blocks(tasks, &|(r, dst): (std::ops::Range<usize>, &mut [T])| {
+        let mut k = 0;
+        for i in r {
+            if flags[i] {
+                dst[k] = input[i];
+                k += 1;
             }
-            debug_assert_eq!(k, dst.len());
-        });
+        }
+        debug_assert_eq!(k, dst.len());
+    });
     out
 }
 

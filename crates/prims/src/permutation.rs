@@ -281,7 +281,7 @@ pub fn par_random_permutation(n: usize, seed: u64) -> Permutation {
         .map(|v| (hash64(seed, v as u64), v))
         .collect();
     sort_by_key_parallel(&mut keyed, |&(k, _)| k);
-    let order: Vec<u32> = keyed.into_par_iter().map(|(_, v)| v).collect();
+    let order: Vec<u32> = keyed.par_iter().map(|&(_, v)| v).collect();
     Permutation::from_order(order)
 }
 

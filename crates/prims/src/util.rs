@@ -48,8 +48,8 @@ pub fn default_num_blocks() -> usize {
 /// Applies `f` to every coarse task in `tasks`, in parallel, returning the
 /// results in task order.
 ///
-/// This is the fork–join fan-out for *blocked* algorithms (radix sort, the
-/// permutation's inverse, the arena rebuild) that hand out a handful of
+/// This is the fork–join fan-out for *blocked* algorithms (pack, radix
+/// sort, the permutation's inverse, the arena rebuild) that hand out a handful of
 /// tasks — typically a small multiple of the thread count — where each task
 /// is a large contiguous block of work.
 /// `par_iter` over such a short task list does not split (its grain size is

@@ -267,11 +267,6 @@ impl RoundScheduler {
         self.engine_wake.notify_all();
     }
 
-    /// True once [`RoundScheduler::shutdown`] has been called.
-    pub fn is_shutting_down(&self) -> bool {
-        lock_unpoisoned(&self.state).shutdown
-    }
-
     /// The engine thread's body: waits for rounds to fill (or time out, or
     /// shutdown), applies each as one batch, logs it to the WAL (when
     /// configured) *before* any publication, publishes the round into every

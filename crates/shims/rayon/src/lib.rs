@@ -5,11 +5,10 @@
 //! This one reimplements the rayon surface the algorithms rely on with **real
 //! data parallelism** on a pool of persistent worker threads:
 //!
-//! * a parallel iterator ([`Par`]) over slices, mutable slices, integer
-//!   ranges, and vectors, with the adapters the workspace uses (`map`,
-//!   `filter`, `filter_map`, `flat_map_iter`, `copied`, `zip`, `enumerate`)
-//!   and parallel terminals (`collect`, `for_each`, `sum`, `count`, `max`,
-//!   `all`, `any`);
+//! * a parallel iterator ([`Par`]) over slices, mutable slices and integer
+//!   ranges, with the adapters the workspace uses (`map`, `filter`,
+//!   `filter_map`, `flat_map_iter`, `copied`) and parallel terminals
+//!   (`collect`, `for_each`, `sum`, `count`, `max`, `all`, `any`);
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] and
 //!   [`current_num_threads`], so callers can pin a computation to a given
 //!   parallelism level (thread-count sweeps in the experiment harness);
@@ -40,10 +39,6 @@
 //! use and keeps them for the life of the process (workers inherit the CPU
 //! affinity of the thread that starts them). A built pool owns its workers
 //! and stops them when dropped.
-//!
-//! One deviation from real rayon, acceptable for the workloads here: `zip`
-//! and `enumerate` materialize their input (they are only applied directly
-//! to cheap sources in this workspace).
 //!
 //! The shim has no parallel slice sort: every sort in the workspace goes
 //! through `greedy_prims::sort::sort_by_key_parallel`.
@@ -93,29 +88,6 @@ fn part_bounds(len: usize) -> Vec<(usize, usize)> {
         start = end;
     }
     out
-}
-
-/// Splits an owned vector into per-part consuming iterators.
-fn vec_parts<T>(v: Vec<T>) -> Vec<std::vec::IntoIter<T>> {
-    let len = v.len();
-    let bounds = part_bounds(len);
-    if bounds.len() <= 1 {
-        return vec![v.into_iter()];
-    }
-    let mut it = v.into_iter();
-    bounds
-        .iter()
-        .map(|&(s, e)| it.by_ref().take(e - s).collect::<Vec<_>>().into_iter())
-        .collect()
-}
-
-impl<T: Send> Par<std::vec::IntoIter<T>> {
-    /// Builds a parallel iterator over an owned vector's elements.
-    pub fn from_vec(v: Vec<T>) -> Self {
-        Par {
-            parts: vec_parts(v),
-        }
-    }
 }
 
 impl<I> Par<I>
@@ -196,25 +168,6 @@ where
                 })
                 .collect(),
         }
-    }
-
-    /// Pairs items with their global index. Materializes the input (it is
-    /// only used directly on sources in this workspace).
-    pub fn enumerate(self) -> Par<std::vec::IntoIter<(usize, I::Item)>> {
-        let v: Vec<(usize, I::Item)> = self.parts.into_iter().flatten().enumerate().collect();
-        Par::from_vec(v)
-    }
-
-    /// Pairs items of two parallel iterators elementwise. Materializes both
-    /// inputs (they are only cheap sources in this workspace).
-    pub fn zip<J>(self, other: Par<J>) -> Par<std::vec::IntoIter<(I::Item, J::Item)>>
-    where
-        J: Iterator + Send,
-        J::Item: Send,
-    {
-        let a: Vec<I::Item> = self.parts.into_iter().flatten().collect();
-        let b: Vec<J::Item> = other.parts.into_iter().flatten().collect();
-        Par::from_vec(a.into_iter().zip(b).collect())
     }
 
     /// Copies referenced items.
@@ -425,14 +378,6 @@ macro_rules! impl_range_source {
 
 impl_range_source!(u32, u64, usize);
 
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = Par<std::vec::IntoIter<T>>;
-    fn into_par_iter(self) -> Self::Iter {
-        Par::from_vec(self)
-    }
-}
-
 /// Parallel operations on shared slices.
 pub trait ParallelSlice<T: Sync> {
     /// Parallel iterator over `&T`.
@@ -528,22 +473,8 @@ mod tests {
     }
 
     #[test]
-    fn zip_and_enumerate() {
-        let a = [1u32, 2, 3, 4];
-        let b = [10u32, 20, 30, 40];
-        let s: Vec<u32> = a
-            .par_iter()
-            .zip(b.par_iter())
-            .map(|(&x, &y)| x + y)
-            .collect();
-        assert_eq!(s, vec![11, 22, 33, 44]);
-        let e: Vec<(usize, u32)> = b.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();
-        assert_eq!(e, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
-    }
-
-    #[test]
     fn flat_map_iter_flattens_in_order() {
-        let v: Vec<u32> = vec![0u32, 1, 2, 3]
+        let v: Vec<u32> = (0u32..4)
             .into_par_iter()
             .flat_map_iter(|x| [x * 10, x * 10 + 1])
             .collect();
