@@ -57,7 +57,10 @@
 //! in the next pass, so the solvers' shared state may use `Relaxed`
 //! atomics: within a pass it needs only each cell's own modification
 //! order. [`crate::matching::prefix`] and [`crate::mis::rootset`] rely on
-//! the same rule.
+//! the same rule. The matching's matched bytes need no more than that:
+//! they are written only in commit passes and read only in filter and
+//! reserve passes, so no pass both writes and reads them, and each read
+//! sees exactly what the last commit pass published.
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 

@@ -35,22 +35,45 @@ fn mis_is_thread_count_independent() {
 
 #[test]
 fn matching_is_thread_count_independent() {
-    let edges = random_graph(2_000, 8_000, 3).to_edge_list();
-    let pi = random_edge_permutation(edges.num_edges(), 4);
-    let reference = sequential_matching(&edges, &pi);
-    for threads in [1, 2, 4, 8] {
-        for policy in [PrefixPolicy::default(), PrefixPolicy::Fixed(1024)] {
-            let result = in_pool(threads, || prefix_matching(&edges, &pi, policy));
+    // Prefixes above the pool's splitting grain make the filter pass collect
+    // its survivors from parts of uneven length at the odd thread counts, and
+    // the R-MAT hubs make many edges of one step contend for the same cell.
+    let inputs = [
+        (
+            "random",
+            random_graph(2_000, 8_000, 3).to_edge_list(),
+            [PrefixPolicy::default(), PrefixPolicy::Fixed(1024)],
+        ),
+        (
+            "rmat",
+            rmat_graph(12, 20_000, 13).to_edge_list(),
+            [
+                PrefixPolicy::Fixed(1024),
+                PrefixPolicy::FractionOfInput(1.0),
+            ],
+        ),
+    ];
+    let mut thread_counts = sweep_threads();
+    thread_counts.extend([4, 8]);
+    thread_counts.sort_unstable();
+    thread_counts.dedup();
+    for (graph, edges, policies) in &inputs {
+        let pi = random_edge_permutation(edges.num_edges(), 4);
+        let reference = sequential_matching(edges, &pi);
+        for &threads in &thread_counts {
+            for &policy in policies {
+                let result = in_pool(threads, || prefix_matching(edges, &pi, policy));
+                assert_eq!(
+                    result, reference,
+                    "matching on {graph} at {policy:?} changed with {threads} threads"
+                );
+            }
+            let rooted = in_pool(threads, || rootset_matching(edges, &pi));
             assert_eq!(
-                result, reference,
-                "matching at {policy:?} changed with {threads} threads"
+                rooted, reference,
+                "root-set matching on {graph} changed with {threads} threads"
             );
         }
-        let rooted = in_pool(threads, || rootset_matching(&edges, &pi));
-        assert_eq!(
-            rooted, reference,
-            "root-set matching changed with {threads} threads"
-        );
     }
 }
 
